@@ -21,8 +21,7 @@ from .norms import (NormReport, sobolev_norm, besov_norm_2_1, lebesgue_norm,
                     mixed_lebesgue_norm, xsb_norm, pvariation_norm,
                     twisted_variation, y_half_proxy)
 from .dynamics import (DT_OMEGA_LIMIT, EtdrkTableau, SolverState, etdrk4_tableau,
-                       evolve, linear_propagator, max_dispersion, nonlinear_term,
-                       step_etdrk4)
+                       evolve, linear_propagator, max_dispersion, step_etdrk4)
 from .scaling import (RotationMap, rescale, rotate_from_symmetrized,
                       rotate_to_symmetrized)
 from .imethod import (IMultiplier, MultilinearSymbol, IncrementReport,

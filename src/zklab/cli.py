@@ -160,8 +160,8 @@ def _run_simulate(config: RunConfig, outdir: str) -> None:
     started = time.monotonic()
     grid = _grid(config)
     u0 = _initial(config, grid)
-    recorder = DiagnosticsRecorder()
     form = DispersionForm.parse(config.form)
+    recorder = DiagnosticsRecorder(form)
     try:
         traj = evolve(u0, config.t_final, config.dt, form,
                       sample_every=config.sample_every, diagnostics=recorder)

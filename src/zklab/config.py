@@ -80,7 +80,6 @@ class RunConfig:
     input: str = ""
     norm_name: str = "sobolev"
     p: float = 2.0
-    b: float = 0.5
     # output
     output_dir: str = ""
     dump_frames: bool = False

@@ -5,7 +5,8 @@ The stepper integrates the dealiased Fourier-Galerkin system
     d/dt uhat = i omega(zeta) uhat - D(zeta) * P_B[(u^2)hat],
 
 where D is the form's nonlinear derivative multiplier and P_B the 2/3-rule
-projection.  The linear part is exact (phase multipliers); the classical
+projection; both, with omega, are built once per (grid, form) in a shared
+SpectralKernel.  The linear part is exact (phase multipliers); the classical
 ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 """
@@ -14,15 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InstabilityError, UsageError
 from .forms import DispersionForm
-from .spectral import Field, dealias_mask
+from .spectral import Field, Grid2D, dealias_mask
 
-__all__ = ["EtdrkTableau", "SolverState", "etdrk4_tableau", "linear_propagator",
-           "nonlinear_term", "step_etdrk4", "evolve", "max_dispersion"]
+__all__ = ["EtdrkTableau", "SolverState", "SpectralKernel", "spectral_kernel", "evolve",
+           "etdrk4_tableau", "linear_propagator", "step_etdrk4", "max_dispersion"]
 
 # Documented step-size limit: beyond this the nonlinear stage phases are
 # unresolved and the fourth-order error constant is meaningless.
@@ -32,24 +34,43 @@ _PHI_SERIES_RADIUS = 0.5
 _PHI_SERIES_TERMS = 18
 
 
+@dataclass(frozen=True, eq=False)
+class SpectralKernel:
+    """Read-only omega, 2/3 mask, -D * mask and band max |omega| of a (grid, form)."""
+
+    grid: Grid2D
+    omega: np.ndarray
+    mask: np.ndarray
+    neg_dmask: np.ndarray
+    max_omega: float
+
+    def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
+        """-D P_B (u^2)^ for coefficients of shape (..., nx, ny)."""
+        n_total = self.grid.nx * self.grid.ny
+        vals = np.fft.ifft2(coeffs).real * n_total
+        return self.neg_dmask * (np.fft.fft2(vals * vals) / n_total)
+
+
+@lru_cache(maxsize=8)
+def spectral_kernel(grid: Grid2D, form: DispersionForm) -> SpectralKernel:
+    """The kernel of (grid, form), built once; every caller shares its arrays."""
+    omega, mask = form.omega(grid), dealias_mask(grid)
+    neg_dmask = -form.nonlinear_derivative(grid) * mask
+    for arr in (omega, mask, neg_dmask):
+        arr.setflags(write=False)
+    return SpectralKernel(grid, omega, mask, neg_dmask,
+                          float(np.abs(omega[mask]).max()))
+
+
 def max_dispersion(grid, form: DispersionForm) -> float:
     """max |omega| over the dealiased band."""
-    return float(np.abs(form.omega(grid)[dealias_mask(grid)]).max())
+    return spectral_kernel(grid, form).max_omega
 
 
 def linear_propagator(field: Field, t: float, form: DispersionForm) -> Field:
     """Exact free evolution exp(i t omega(zeta)) on the lattice."""
-    phase = np.exp(1j * t * form.omega(field.grid))
+    phase = np.exp(1j * t * spectral_kernel(field.grid, form).omega)
     return field.multiplier(phase)
-
-
-def nonlinear_term(field: Field, form: DispersionForm) -> Field:
-    """-d(u^2) under the form's derivative, 2/3 dealiased."""
-    g = field.grid
-    vals = field.values
-    sq = np.fft.fft2(vals * vals) / (g.nx * g.ny)
-    out = -form.nonlinear_derivative(g) * sq * dealias_mask(g)
-    return Field(g, out, "spectral")
 
 
 def _phi(j: int, z: np.ndarray) -> np.ndarray:
@@ -85,7 +106,7 @@ class EtdrkTableau:
 
 
 def etdrk4_tableau(grid, dt: float, form: DispersionForm) -> EtdrkTableau:
-    z = 1j * dt * form.omega(grid)
+    z = 1j * dt * spectral_kernel(grid, form).omega
     phi1, phi2, phi3 = _phi(1, z), _phi(2, z), _phi(3, z)
     return EtdrkTableau(
         e_full=np.exp(z),
@@ -105,7 +126,6 @@ class SolverState:
     t: float
     dt: float
     form: DispersionForm
-    dealias: bool = True
     steps: int = 0
 
     def __post_init__(self):
@@ -118,43 +138,27 @@ class SolverState:
                 f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
 
 
-def _advance(uhat: np.ndarray, tab: EtdrkTableau, grid, form, mask) -> np.ndarray:
-    def nonlin(vhat):
-        vals = np.real(np.fft.ifft2(vhat)) * (grid.nx * grid.ny)
-        sq = np.fft.fft2(vals * vals) / (grid.nx * grid.ny)
-        return -form.nonlinear_derivative(grid) * sq * mask
-
-    n0 = nonlin(uhat)
-    a = tab.e_half * uhat + tab.q * n0
-    na = nonlin(a)
-    b = tab.e_half * uhat + tab.q * na
-    nb = nonlin(b)
-    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
-    nc = nonlin(c)
-    return tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
-
-
 def step_etdrk4(state: SolverState, tableau: EtdrkTableau | None = None) -> SolverState:
     """One ETDRK4 step; raises InstabilityError on non-finite output."""
     grid = state.field.grid
-    if tableau is None:
-        tableau = etdrk4_tableau(grid, state.dt, state.form)
-    uhat = state.field.coeffs
-    if state.dealias:
-        uhat = uhat * dealias_mask(grid)
-    new = _advance(uhat, tableau, grid, state.form, dealias_mask(grid))
+    kernel = spectral_kernel(grid, state.form)
+    tab = tableau if tableau is not None else etdrk4_tableau(grid, state.dt, state.form)
+    uhat = state.field.coeffs * kernel.mask
+    n0 = kernel.nonlinear(uhat)
+    a = tab.e_half * uhat + tab.q * n0
+    na = kernel.nonlinear(a)
+    b = tab.e_half * uhat + tab.q * na
+    nb = kernel.nonlinear(b)
+    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
+    nc = kernel.nonlinear(c)
+    new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
     if not np.all(np.isfinite(new)):
+        l2 = float(np.sqrt(grid.area * np.sum(np.abs(state.field.coeffs) ** 2)))
         raise InstabilityError(
             f"non-finite state at t = {state.t + state.dt:.6g}",
-            last_diagnostics=_basic_diagnostics(state))
+            last_diagnostics={"t": state.t, "steps": state.steps, "l2": l2})
     return replace(state, field=Field(grid, new, "spectral"),
                    t=state.t + state.dt, steps=state.steps + 1)
-
-
-def _basic_diagnostics(state: SolverState) -> dict:
-    coeffs = state.field.coeffs
-    l2 = float(np.sqrt(state.field.grid.area * np.sum(np.abs(coeffs) ** 2)))
-    return {"t": state.t, "steps": state.steps, "l2": l2}
 
 
 def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
@@ -174,7 +178,7 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
         raise UsageError("t_final must be non-negative")
     if sample_every < 1:
         raise UsageError("sample_every must be a positive integer")
-    frames = [u0.coeffs * dealias_mask(grid)]
+    frames = [u0.coeffs * spectral_kernel(grid, form).mask]
     if diagnostics is not None:
         diagnostics(0.0, Field(grid, frames[0], "spectral"))
     if t_final == 0:

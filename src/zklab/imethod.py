@@ -1,9 +1,10 @@
 """Almost-conservation machinery: I-multiplier, invariants, multilinear forms.
 
-All functionals here are written for the original dispersion form (the
-energy below is the invariant of u_t + u_xxx + u_xyy + (u^2)_x = 0).  The
-discrete multilinear forms are the exact time derivatives of the discrete
-modified energy along the dealiased Galerkin flow:
+``energy`` takes the dispersion form; every other functional here (modified
+energy, multilinear forms, scans, gwp) is written for the original form
+u_t + u_xxx + u_xyy + (u^2)_x = 0.  The discrete multilinear forms are the
+exact time derivatives of the discrete modified energy along the dealiased
+Galerkin flow:
 
     d/dt E(I u) = Re[-i Lambda3(M3; I u) + i Lambda4(M4; I u)],
 
@@ -92,8 +93,10 @@ def mass(field: Field) -> float:
     return float(np.sum(vals * vals) * field.grid.cell_area)
 
 
-def energy(field: Field) -> float:
-    """E(u) = integral of |grad u|^2 / 2 - u^3 / 3.
+def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> float:
+    """E(u) = integral of |grad u|^2 / 2 - u^3 / 3; the symmetrized form's
+    invariant has u_x^2 - u_x u_y + u_y^2 in place of |grad u|^2, because
+    d_x^3 + d_y^3 = (d_x + d_y)(d_x^2 - d_x d_y + d_y^2).
 
     Evaluated on the 2/3-dealiased representative, for which the cubic
     lattice quadrature is exact; this is the quantity the dealiased Galerkin
@@ -103,7 +106,10 @@ def energy(field: Field) -> float:
     ux = derivative(u, 1, 0).values
     uy = derivative(u, 0, 1).values
     vals = u.values
-    density = 0.5 * (ux * ux + uy * uy) - vals ** 3 / 3.0
+    gradient = ux * ux + uy * uy
+    if form is DispersionForm.SYMMETRIZED:
+        gradient = gradient - ux * uy
+    density = 0.5 * gradient - vals ** 3 / 3.0
     return float(np.sum(density) * field.grid.cell_area)
 
 

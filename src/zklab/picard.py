@@ -3,12 +3,14 @@
 The map under iteration is
 
     (T u)(t) = chi(t/T) e^{tS} u0
-             - int_0^t e^{(t-t')S} chi(t'/T) (d_x + d_y)(u^2)(t') dt',
+             - int_0^t e^{(t-t')S} chi(t'/T) D(u^2)(t') dt',
 
-the cutoff acting as a literal smooth factor on both the free term and the
-Duhamel integrand.  The integral is evaluated in twisted variables
-(g(t') = e^{-t'S} applied to the integrand) with the fourth-order cumulative
-quadrature, so linear propagation between nodes is exact.
+D = d_x (original form) or d_x + d_y (symmetrized), the dealiased -D(u^2) being
+the stepper's SpectralKernel.nonlinear on all nodes at once, and the cutoff a
+literal smooth factor on both the free term and the Duhamel integrand.  The
+integral is evaluated in twisted variables (g(t') = e^{-t'S} applied to the
+integrand) with the fourth-order cumulative quadrature, so linear propagation
+between nodes is exact.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import chi
+from .dynamics import spectral_kernel
 from .errors import UsageError
 from .forms import DispersionForm
-from .spectral import Field, dealias_mask
+from .spectral import Field
 from .trajectory import SpaceTimeField
 from .quadrature import cumulative_integral
 
@@ -87,28 +90,20 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
     if num_nodes < 9:
         raise UsageError("need at least 9 quadrature nodes")
     grid = u0.grid
+    kernel = spectral_kernel(grid, form)
     k = num_nodes
     dt = 2.0 * t_horizon / (k - 1)
     times = dt * np.arange(k)
-    cut = chi(times / t_horizon)
+    cut = chi(times / t_horizon)[:, None, None]
 
-    omega = form.omega(grid)
-    phase = np.exp(1j * times[:, None, None] * omega[None, :, :])
-    dx_symbol = form.nonlinear_derivative(grid)
-    mask = dealias_mask(grid)
-    n_total = grid.nx * grid.ny
-
-    c0 = np.where(mask, u0.spectral().coeffs, 0.0)
-    free = phase * c0[None, :, :]
+    phase = np.exp(1j * times[:, None, None] * kernel.omega)
+    free = phase * np.where(kernel.mask, u0.spectral().coeffs, 0.0)
 
     def apply_map(coeffs):
-        out = cut[:, None, None] * free
+        out = cut * free
         if nonlinear:
-            vals = np.fft.ifft2(coeffs, axes=(1, 2)).real * n_total
-            sq = np.fft.fft2(vals * vals, axes=(1, 2)) / n_total
-            integrand = cut[:, None, None] * (dx_symbol * np.where(mask, sq, 0.0))
-            twisted = np.conj(phase) * integrand
-            out = out - phase * cumulative_integral(twisted, dt)
+            twisted = np.conj(phase) * (cut * kernel.nonlinear(coeffs))
+            out = out + phase * cumulative_integral(twisted, dt)
         return out
 
     iterates = [free]

@@ -16,6 +16,7 @@ import tempfile
 import numpy as np
 
 from .errors import DataError
+from .forms import DispersionForm
 from .spectral import Field, Grid2D, make_field
 
 __all__ = ["format_value", "write_csv", "write_json", "write_frame_csv",
@@ -93,16 +94,15 @@ def read_frame_csv(path: str) -> Field:
         first = fh.readline().strip()
         if not first.startswith("# zklab-frame"):
             raise DataError(f"{path} is not a frame file (missing header)")
-        meta = dict(tok.split("=") for tok in first.split()[2:])
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    grid = Grid2D(int(meta["nx"]), int(meta["ny"]),
-                  float(meta["lx"]), float(meta["ly"]))
-    vals = np.asarray(rows)
+        try:
+            meta = dict(tok.split("=") for tok in first.split()[2:])
+            grid = Grid2D(int(meta["nx"]), int(meta["ny"]),
+                          float(meta["lx"]), float(meta["ly"]))
+            vals = np.asarray([[float(tok) for tok in line.split(",")]
+                               for line in map(str.strip, fh)
+                               if line and not line.startswith("#")])
+        except (ValueError, KeyError) as exc:
+            raise DataError(f"{path} is not a well-formed frame file ({exc!r})") from None
     if vals.shape != (grid.nx, grid.ny):
         raise DataError(f"frame body {vals.shape} does not match header "
                         f"({grid.nx}, {grid.ny})")
@@ -160,24 +160,19 @@ def validate_manifest(manifest: dict) -> None:
 # -- run diagnostics ----------------------------------------------------------------
 
 class DiagnosticsRecorder:
-    """Per-sample conservation diagnostics, usable as an evolve callback."""
+    """Per-sample conservation diagnostics (energy of ``form``), an evolve callback."""
 
     HEADER = ["t (time units)", "mass (integral u^2)", "energy",
               "l2 (spatial L2)", "linf (max |u|)"]
 
-    def __init__(self):
+    def __init__(self, form: DispersionForm = DispersionForm.ORIGINAL):
+        self.form = form
         self.rows: list[tuple] = []
 
     def __call__(self, t: float, field: Field) -> None:
         from .imethod import energy, mass
 
         vals = field.values
-        self.rows.append((t, mass(field), energy(field),
+        self.rows.append((t, mass(field), energy(field, self.form),
                           float(np.sqrt(np.sum(vals * vals) * field.grid.cell_area)),
                           float(np.max(np.abs(vals)))))
-
-    @property
-    def last_row(self) -> dict:
-        if not self.rows:
-            return {}
-        return dict(zip(("t", "mass", "energy", "l2", "linf"), self.rows[-1]))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from zklab import (
+    DiagnosticsRecorder,
     DispersionForm,
     IMultiplier,
     RotationMap,
@@ -83,6 +84,22 @@ def test_criterion_02_conservation():
     verdict(2, "conservation", ok,
             f"mass drift {mass_drift:.2e} (<= 1e-8), "
             f"energy drift {energy_drift:.2e} (<= 1e-6) over T=1")
+
+
+def test_criterion_02_symmetrized_energy():
+    """The criterion-2 run in the symmetrized form: the diagnostics record its
+    own invariant, with the u_x u_y cross term, within the same budget."""
+    g = make_grid(128, 128, BOX, BOX)
+    u0 = random_band_limited(g, seed=7, kmax=10.0, envelope=3.0, amplitude=0.3)
+    recorder = DiagnosticsRecorder(DispersionForm.SYMMETRIZED)
+    evolve(u0, 1.0, 1e-3, DispersionForm.SYMMETRIZED, sample_every=1000,
+           diagnostics=recorder)
+    (_, mass0, energy0, *_), (_, mass1, energy1, *_) = recorder.rows
+    energy_drift = abs(energy1 - energy0) / abs(energy0)
+    mass_drift = abs(mass1 - mass0) / abs(mass0)
+    verdict(2, "symmetrized energy", energy_drift <= 1e-6,
+            f"energy drift {energy_drift:.2e} (<= 1e-6) over T=1; "
+            f"mass drift {mass_drift:.2e} (not gated here)")
 
 
 def test_criterion_03_scaling_symmetry():

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from zklab import DispersionForm, energy
 from zklab.cli import main
 from zklab.reporting import read_frame_csv
 
@@ -29,6 +30,18 @@ class TestSimulate:
         assert man["subcommand"] == "simulate"
         assert man["num_frames"] == 3
         assert "diagnostics.csv" in man["outputs"]
+
+    def test_symmetrized_run_records_its_own_energy(self, tmp_path):
+        code = run(tmp_path, "simulate", "--nx", "16", "--form", "symmetrized",
+                   "--preset", "random", "--seed", "3", "--kmax", "4",
+                   "--amplitude", "0.3", "--T", "0.002", "--dt", "0.001")
+        assert code == 0
+        last = open(tmp_path / "diagnostics.csv").read().splitlines()[-1]
+        recorded = float(last.split(",")[2])
+        final = read_frame_csv(str(tmp_path / "frame_final.csv"))
+        assert recorded == pytest.approx(energy(final, DispersionForm.SYMMETRIZED),
+                                         rel=1e-10)
+        assert recorded != pytest.approx(energy(final), rel=1e-3)
 
     def test_frame_file_readable(self, tmp_path):
         run(tmp_path, "simulate", "--nx", "16", "--preset", "gaussian",
@@ -75,6 +88,19 @@ class TestExitCodes:
         assert "instability" in err
         # diagnostics up to the failure are flushed for post-mortem use
         assert (tmp_path / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("header, body", [
+        ("# zklab-frame nx=8 ny 8 lx=6.28 ly=6.28", "0," * 7 + "0"),
+        ("# zklab-frame nx=8 ny=8 lx=6.28 ly=6.28", "0," * 7 + "abc"),
+        ("# zklab-frame nx=8 lx=6.28 ly=6.28", "0," * 7 + "0"),
+    ], ids=["token-without-equals", "non-numeric-cell", "missing-ny"])
+    def test_malformed_frame_file_is_2(self, tmp_path, capsys, header, body):
+        path = tmp_path / "frame.csv"
+        path.write_text(header + "\n" + "\n".join([body] * 8) + "\n")
+        code = run(tmp_path, "norms", "--input", str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err
 
     def test_unknown_key_in_config_file_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

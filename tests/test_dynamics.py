@@ -1,7 +1,14 @@
-"""Time-stepping tests: free propagator phases, ETDRK4 order, failure modes."""
+"""Time-stepping tests: free propagator phases, ETDRK4 order, failure modes,
+and the shared spectral kernel."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import zklab.dynamics
+import zklab.spectral
 
 from zklab import (
     DispersionForm,
@@ -17,6 +24,8 @@ from zklab import (
     sobolev_norm,
     step_etdrk4,
 )
+from zklab.dynamics import max_dispersion, spectral_kernel
+from zklab.spectral import dealias_mask
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
 
@@ -135,3 +144,97 @@ class TestFailureModes:
         evolve(smooth_data(G), 0.01, 1e-3, DispersionForm.ORIGINAL,
                sample_every=5, diagnostics=lambda t, f: seen.append(t))
         np.testing.assert_allclose(seen, [0.0, 5e-3, 1e-2], atol=1e-12)
+
+
+def reference_nonlinear(grid, form, coeffs):
+    """-D (u^2)^ mask on full complex FFTs, every symbol rebuilt per call."""
+    n = grid.nx * grid.ny
+    vals = np.real(np.fft.ifft2(coeffs)) * n
+    sq = np.fft.fft2(vals * vals) / n
+    return -form.nonlinear_derivative(grid) * sq * dealias_mask(grid)
+
+
+def reference_step(coeffs, grid, dt, form):
+    """One ETDRK4 step written out with the symbols rebuilt inside it."""
+    tab = etdrk4_tableau(grid, dt, form)
+    uhat = coeffs * dealias_mask(grid)
+
+    def nonlin(v):
+        return reference_nonlinear(grid, form, v)
+
+    n0 = nonlin(uhat)
+    a = tab.e_half * uhat + tab.q * n0
+    na = nonlin(a)
+    b = tab.e_half * uhat + tab.q * na
+    nb = nonlin(b)
+    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
+    nc = nonlin(c)
+    return tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("form", list(DispersionForm))
+    def test_step_matches_reference_step(self, form):
+        u = smooth_data(G, amp=0.8)
+        state = SolverState(u.spectral(), 0.0, 1e-3, form)
+        tab = etdrk4_tableau(G, 1e-3, form)
+        ref = u.coeffs
+        for _ in range(20):
+            state = step_etdrk4(state, tab)
+            ref = reference_step(ref, G, 1e-3, form)
+        gap = np.linalg.norm(state.field.coeffs - ref) / np.linalg.norm(ref)
+        assert gap <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32]), ny=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(DispersionForm)),
+           batch=st.sampled_from([None, 3]))
+    def test_nonlinear_equals_reference(self, nx, ny, seed, form, batch):
+        grid = make_grid(nx, ny, 2 * np.pi, 3 * np.pi)
+        rng = np.random.default_rng(seed)
+        shape = (nx, ny) if batch is None else (batch, nx, ny)
+        coeffs = np.fft.fft2(rng.standard_normal(shape)) / (nx * ny)
+        got = spectral_kernel(grid, form).nonlinear(coeffs)
+        want = np.array([reference_nonlinear(grid, form, c)
+                         for c in coeffs.reshape(-1, nx, ny)]).reshape(shape)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+
+    def test_no_symbol_built_per_step(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def inner(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return inner
+
+        for name in ("omega", "nonlinear_derivative"):
+            monkeypatch.setattr(DispersionForm, name,
+                                counting(name, getattr(DispersionForm, name)))
+        mask = counting("dealias_mask", zklab.spectral.dealias_mask)
+        monkeypatch.setattr(zklab.spectral, "dealias_mask", mask)
+        monkeypatch.setattr(zklab.dynamics, "dealias_mask", mask, raising=False)
+
+        def built(n_steps):
+            spectral_kernel.cache_clear()
+            counts.clear()
+            evolve(smooth_data(G), n_steps * 1e-3, 1e-3, DispersionForm.SYMMETRIZED)
+            return dict(counts)
+
+        ten = built(10)
+        assert ten == built(20)
+        assert ten == {"omega": 1, "nonlinear_derivative": 1, "dealias_mask": 1}
+
+    @pytest.mark.parametrize("name", ["omega", "mask", "neg_dmask"])
+    def test_kernel_arrays_are_read_only(self, name):
+        arr = getattr(spectral_kernel(G, DispersionForm.ORIGINAL), name)
+        with pytest.raises(ValueError):
+            arr[1, 1] = arr[0, 0]
+
+    @pytest.mark.parametrize("form", list(DispersionForm))
+    def test_max_dispersion_over_band(self, form):
+        want = np.abs(form.omega(G)[dealias_mask(G)]).max()
+        assert max_dispersion(G, form) == want
+        assert spectral_kernel(G, form) is spectral_kernel(
+            make_grid(32, 32, 2 * np.pi, 2 * np.pi), form)

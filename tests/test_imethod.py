@@ -103,6 +103,13 @@ class TestConservedQuantities:
         u = mode(G, 2, 0, amp=0.7)
         assert energy(u) == pytest.approx(0.7 ** 2 * 4.0 * G.area / 4.0, rel=1e-12)
 
+    def test_symmetrized_energy_cross_term(self):
+        """u = a cos(x + y): u_x = u_y, so the cross term halves the gradient part."""
+        u = mode(G, 1, 1, amp=0.7)
+        want = 0.7 ** 2 * G.area / 4.0
+        assert energy(u, DispersionForm.SYMMETRIZED) == pytest.approx(want, rel=1e-12)
+        assert energy(u, DispersionForm.ORIGINAL) == pytest.approx(2.0 * want, rel=1e-12)
+
     def test_energy_with_cubic_term(self):
         u = mode(G, 1, 0) + mode(G, 2, 0)
         assert energy(u) == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
