@@ -224,6 +224,22 @@ def _run_gwp(config: RunConfig, outdir: str) -> None:
     _finish("gwp", config, outdir, started, [out], {"status": ledger.status})
 
 
+def _window(c: RunConfig) -> dict:
+    return {"samples": c.samples, "seed": c.seed, "span": c.span, "frames": c.frames}
+
+
+_PROBES = {
+    "strichartz": lambda c, g: probes.strichartz_probe(c.q, c.r, g, **_window(c)),
+    "maximal": lambda c, g: probes.maximal_derivative_probe(g, **_window(c)),
+    "bilinear": lambda c, g: probes.bilinear_probe(c.n1, c.n2, g, **_window(c)),
+    "gh-bilinear": lambda c, g: probes.gh_bilinear_probe(c.n1, c.n2, g, **_window(c)),
+    "l4": lambda c, g: probes.l4_probe(g, **_window(c)),
+    "trilinear": lambda c, g: probes.trilinear_form_probe(
+        c.n1, c.n2, c.n3, c.t_length, g, samples=c.samples, seed=c.seed,
+        num_steps=c.num_steps or None),
+}
+
+
 def _run_probe(config: RunConfig, outdir: str) -> None:
     started = time.monotonic()
     grid = _grid(config)
@@ -235,38 +251,12 @@ def _run_probe(config: RunConfig, outdir: str) -> None:
                         "high_sup", "low_sup"],
                   [[r["T"], r["L"], r["high_l32"], r["normalized"],
                     r["recon_error"], r["high_sup"], r["low_sup"]] for r in rows])
-        _finish("probe", config, outdir, started, [out],
-                {"drift": report.drift, "estimate": report.estimate})
-        return
-    if kind == "strichartz":
-        report = probes.strichartz_probe(config.q, config.r, grid,
-                                         samples=config.samples, seed=config.seed,
-                                         span=config.span, frames=config.frames)
-    elif kind == "maximal":
-        report = probes.maximal_derivative_probe(grid, samples=config.samples,
-                                                 seed=config.seed, span=config.span,
-                                                 frames=config.frames)
-    elif kind == "bilinear":
-        report = probes.bilinear_probe(config.n1, config.n2, grid,
-                                       samples=config.samples, seed=config.seed,
-                                       span=config.span, frames=config.frames)
-    elif kind == "gh-bilinear":
-        report = probes.gh_bilinear_probe(config.n1, config.n2, grid,
-                                          samples=config.samples, seed=config.seed,
-                                          span=config.span, frames=config.frames)
-    elif kind == "l4":
-        report = probes.l4_probe(grid, samples=config.samples, seed=config.seed,
-                                 span=config.span, frames=config.frames)
-    elif kind == "trilinear":
-        report = probes.trilinear_form_probe(config.n1, config.n2, config.n3,
-                                             config.t_length, grid,
-                                             samples=config.samples,
-                                             seed=config.seed,
-                                             num_steps=config.num_steps)
     else:
-        raise ConfigurationError(f"unknown estimate {kind!r}")
-    row = report.to_row()
-    write_csv(out, list(row.keys()), [list(row.values())])
+        if kind not in _PROBES:
+            raise ConfigurationError(f"unknown estimate {kind!r}")
+        report = _PROBES[kind](config, grid)
+        row = report.to_row()
+        write_csv(out, list(row.keys()), [list(row.values())])
     _finish("probe", config, outdir, started, [out],
             {"drift": report.drift, "estimate": report.estimate})
 

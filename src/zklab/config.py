@@ -75,7 +75,7 @@ class RunConfig:
     t_grid: tuple = (0.25, 1.0, 4.0)
     l_grid: tuple = (0.25, 1.0, 4.0)
     t_length: float = 0.25
-    num_steps: int = 64
+    num_steps: int = 0    # 0 means: derive from the shells
     # norms subcommand
     input: str = ""
     norm_name: str = "sobolev"
@@ -103,7 +103,7 @@ _POSITIVE_KEYS = {"lx", "dt", "t_final", "delta", "t_target", "q", "r",
                   "n1", "n2", "n3", "span", "t_length", "c0", "sigma",
                   "s", "p"}
 # zero is a documented sentinel for these ("use the derived value")
-_NONNEGATIVE_KEYS = {"ly", "horizon", "kmax", "envelope", "n_block"}
+_NONNEGATIVE_KEYS = {"ly", "horizon", "kmax", "envelope", "n_block", "num_steps"}
 
 
 def _coerce(key: str, value, target_type):

@@ -46,9 +46,8 @@ class SpectralKernel:
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ for coefficients of shape (..., nx, ny)."""
-        n_total = self.grid.nx * self.grid.ny
-        vals = np.fft.ifft2(coeffs).real * n_total
-        return self.neg_dmask * (np.fft.fft2(vals * vals) / n_total)
+        vals = np.fft.ifft2(coeffs, norm="forward").real
+        return self.neg_dmask * np.fft.fft2(vals * vals, norm="forward")
 
 
 @lru_cache(maxsize=8)

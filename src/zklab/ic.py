@@ -69,7 +69,7 @@ def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.nx, grid.ny))
-    coeffs = np.fft.fft2(noise) / (grid.nx * grid.ny)
+    coeffs = np.fft.fft2(noise, norm="forward")
     r = grid.abs_zeta
     if kmax is None:
         kmax = 2.0 * np.pi * int(grid.nx / 3.0) / max(grid.lx, grid.ly)
@@ -98,7 +98,7 @@ def shell_field(grid: Grid2D, n: float, seed: int, amplitude: float = 1.0) -> Fi
     (|zeta| in (n/sqrt(2), n*sqrt(2)]), clipped to the dealias band."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.nx, grid.ny))
-    coeffs = np.fft.fft2(noise) / (grid.nx * grid.ny)
+    coeffs = np.fft.fft2(noise, norm="forward")
     r = grid.abs_zeta
     keep = (r > n / np.sqrt(2.0)) & (r <= n * np.sqrt(2.0))
     field = dealias(Field(grid, np.where(keep, coeffs, 0.0), "spectral"))

@@ -286,13 +286,12 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D,
 
     mask = dealias_mask(grid)
     msym = mult.symbol(grid)
-    n_total = grid.nx * grid.ny
     pair_mult = mask.astype(np.float64) if restrict_pairs else np.ones_like(msym)
     xi_pair = np.where(np.arange(grid.nx) == grid.nx // 2, 0.0, grid.xi)[:, None] \
         + 0.0 * grid.eta[None, :]
 
     def to_phys(coeffs):
-        return np.fft.ifft2(coeffs) * n_total
+        return np.fft.ifft2(coeffs, norm="forward")
 
     def m3_factored(fields):
         w = [_require_band(f, mask, "lambda3 (factored)") for f in fields]
@@ -304,7 +303,7 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D,
         # the band mask is a no-op on the zero-sum hyperplane (the pair
         # frequency equals -zeta_1, already in band) but discards products
         # that would otherwise wrap around the lattice
-        pair_hat = np.fft.fft2(v2p * v3p) / n_total * (msym * mask)
+        pair_hat = np.fft.fft2(v2p * v3p, norm="forward") * (msym * mask)
         term_b = np.sum(gp * to_phys(pair_hat)) * grid.cell_area
         return complex(term_a - term_b)
 
@@ -317,7 +316,7 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D,
                     raise DataError("unrestricted lambda4 needs quarter-band data "
                                     "(|j| <= nx/4, |k| <= ny/4)")
         v1p, v2p = to_phys(w[0] / msym).real, to_phys(w[1] / msym).real
-        pair_hat = np.fft.fft2(v1p * v2p) / n_total
+        pair_hat = np.fft.fft2(v1p * v2p, norm="forward")
         fp = to_phys(xi_pair * msym * pair_mult * pair_hat)
         w3p, w4p = to_phys(w[2]).real, to_phys(w[3]).real
         return complex(np.sum(fp * (w3p * w4p)) * grid.cell_area)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .dynamics import spectral_kernel
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import LPProjector, dyadic_shells, shell_weight
@@ -122,7 +123,7 @@ def xsb_norm(stf: SpaceTimeField, s: float, b: float, form: DispersionForm) -> f
         raise ResolutionError("xsb_norm needs at least 8 time samples")
     g = stf.grid
     cmod = stf.temporal_transform()
-    mu = stf.tau[:, None, None] - form.omega(g)[None, :, :]
+    mu = stf.tau[:, None, None] - spectral_kernel(g, form).omega[None, :, :]
     wt = (1.0 + g.xi_grid ** 2 + g.eta_grid ** 2)[None, :, :] ** s * (1.0 + mu ** 2) ** b
     total = np.sum(wt * np.abs(cmod) ** 2)
     span = stf.num_frames * stf.dt
@@ -168,7 +169,7 @@ def twisted_variation(stf: SpaceTimeField, p: float, form: DispersionForm) -> fl
     Free solutions give exactly 0.  Coefficient vectors are scaled so that
     the l2 distance matches the spatial L2 norm.
     """
-    omega = form.omega(stf.grid)
+    omega = spectral_kernel(stf.grid, form).omega
     phases = np.exp(-1j * stf.times[:, None, None] * omega[None, :, :])
     twisted = stf.coeffs * phases * np.sqrt(stf.grid.area)
     return pvariation_norm(twisted.reshape(stf.num_frames, -1), p)

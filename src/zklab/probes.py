@@ -10,12 +10,12 @@ recorded in the report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bumps import chi
-from .dynamics import SolverState, etdrk4_tableau, evolve, step_etdrk4
+from .dynamics import SolverState, etdrk4_tableau, spectral_kernel, step_etdrk4
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .ic import random_band_limited, shell_field
@@ -66,12 +66,29 @@ def _drift(a: float, b: float) -> float:
     return max(a / b, b / a)
 
 
+def _ensemble_report(estimate: str, one, base: tuple, other: tuple, samples: int,
+                     seed: int, params: dict, caveat: str = TORUS_CAVEAT) -> ProbeReport:
+    """Median of ``one(*base, i)`` over the samples, drifted against ``one(*other, i)``."""
+    ratios = [one(*base, i) for i in range(samples)]
+    med = float(np.median(ratios))
+    companion = float(np.median([one(*other, i) for i in range(samples)]))
+    return ProbeReport(estimate=estimate, params=params, lhs=med, rhs=1.0, ratio=med,
+                       spread=_stats(ratios), drift=_drift(med, companion), seed=seed,
+                       caveat=caveat)
+
+
+def _frame_step(span: float, frames: int) -> float:
+    if frames < 2:
+        raise UsageError(f"frames must be at least 2 (the window endpoints), got {frames}")
+    return span / (frames - 1)
+
+
 def _free_trajectory(u0: Field, form: DispersionForm, span: float,
                      frames: int) -> SpaceTimeField:
     grid = u0.grid
-    dt = span / (frames - 1)
+    dt = _frame_step(span, frames)
     t = dt * np.arange(frames)
-    phase = np.exp(1j * np.multiply.outer(t, form.omega(grid)))
+    phase = np.exp(1j * np.multiply.outer(t, spectral_kernel(grid, form).omega))
     return SpaceTimeField(grid, 0.0, dt, phase * u0.spectral().coeffs[None])
 
 
@@ -86,32 +103,40 @@ def _doubled(grid: Grid2D) -> Grid2D:
 
 # -- free-solution space-time estimates ------------------------------------------
 
+def _free_wave_norm(u0: Field, form: DispersionForm, weight, q: float, r: float,
+                    span: float, frames: int) -> float:
+    """Windowed L^q_t L^r_xy norm of the free wave from u0 times ``weight(grid)``."""
+    traj = _free_trajectory(u0, form, span, frames)
+    weighted = SpaceTimeField(u0.grid, 0.0, traj.dt, traj.coeffs * weight(u0.grid))
+    return mixed_lebesgue_norm(weighted.windowed(), q, r)
+
+
+def _free_wave_report(estimate: str, form: DispersionForm, weight, q: float, r: float,
+                      grid: Grid2D, samples: int, seed: int, span: float, frames: int,
+                      params: dict) -> ProbeReport:
+    """Free-wave norms of unit-L2 band-limited data against ||u0||_2 = 1,
+    drifted against the same ensemble on the doubled grid."""
+    kmax = _band_edge(grid)
+
+    def one(g: Grid2D, i: int) -> float:
+        u0 = random_band_limited(g, seed + i, kmax=kmax, norm="sobolev",
+                                 norm_s=0.0, amplitude=1.0)
+        return _free_wave_norm(u0, form, weight, q, r, span, frames)
+
+    params = {"nx": grid.nx, "span": span, "frames": frames, "samples": samples,
+              "kmax": kmax, **params}
+    return _ensemble_report(estimate, one, (grid,), (_doubled(grid),), samples,
+                            seed, params)
+
+
 def strichartz_probe(q: float, r: float, grid: Grid2D, samples: int = 32,
                      seed: int = 0, span: float = 1.0, frames: int = 33) -> ProbeReport:
     """||free solution||_{L^q_t L^r_xy} against ||u0||_2 on the admissible line."""
     if q <= 3.0 or abs(3.0 / q + 2.0 / r - 1.0) > 1e-12:
         raise UsageError(f"inadmissible pair (q, r) = ({q}, {r}); "
                          "the estimate requires 3/q + 2/r = 1 with q > 3")
-    kmax = _band_edge(grid)
-
-    def ensemble(g: Grid2D):
-        ratios = []
-        for i in range(samples):
-            u0 = random_band_limited(g, seed + i, kmax=kmax, norm="sobolev",
-                                     norm_s=0.0, amplitude=1.0)
-            traj = _free_trajectory(u0, DispersionForm.ORIGINAL, span, frames)
-            ratios.append(mixed_lebesgue_norm(traj.windowed(), q, r))
-        return ratios
-
-    base = ensemble(grid)
-    fine = ensemble(_doubled(grid))
-    med = float(np.median(base))
-    return ProbeReport(
-        estimate="strichartz", seed=seed,
-        params={"q": q, "r": r, "nx": grid.nx, "span": span, "frames": frames,
-                "samples": samples, "kmax": kmax},
-        lhs=med, rhs=1.0, ratio=med, spread=_stats(base),
-        drift=_drift(med, float(np.median(fine))))
+    return _free_wave_report("strichartz", DispersionForm.ORIGINAL, lambda g: 1.0,
+                             q, r, grid, samples, seed, span, frames, {"q": q, "r": r})
 
 
 def maximal_derivative_probe(grid: Grid2D, samples: int = 32, seed: int = 0,
@@ -122,37 +147,19 @@ def maximal_derivative_probe(grid: Grid2D, samples: int = 32, seed: int = 0,
     For free solutions the Bourgain-norm right side reduces to ||u0||_2
     times a window factor; the single-mode baseline records that factor.
     """
-    kmax = _band_edge(grid)
     power = 0.25 - epsilon
 
-    def weighted_ratio(u0: Field):
-        g = u0.grid
-        traj = _free_trajectory(u0, DispersionForm.ORIGINAL, span, frames)
-        weight = np.abs(g.xi_grid) ** power
-        weighted = SpaceTimeField(g, 0.0, traj.dt, traj.coeffs * weight[None])
-        return mixed_lebesgue_norm(weighted.windowed(), q, np.inf)
+    def weight(g: Grid2D) -> np.ndarray:
+        return np.abs(g.xi_grid) ** power
 
-    def ensemble(g: Grid2D):
-        return [weighted_ratio(random_band_limited(g, seed + i, kmax=kmax,
-                                                   norm="sobolev", norm_s=0.0,
-                                                   amplitude=1.0))
-                for i in range(samples)]
-
-    single = Field(grid, np.zeros((grid.nx, grid.ny), dtype=np.complex128), "spectral")
-    coeffs = single.coeffs.copy()
+    coeffs = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     coeffs[1, 0] = coeffs[-1, 0] = 0.5 / np.sqrt(grid.area * 0.5)
-    baseline = weighted_ratio(Field(grid, coeffs, "spectral"))
-
-    base = ensemble(grid)
-    fine = ensemble(_doubled(grid))
-    med = float(np.median(base))
-    return ProbeReport(
-        estimate="maximal-derivative", seed=seed,
-        params={"q": q, "epsilon": epsilon, "nx": grid.nx, "span": span,
-                "frames": frames, "samples": samples, "kmax": kmax,
-                "single_mode_baseline": baseline},
-        lhs=med, rhs=1.0, ratio=med, spread=_stats(base),
-        drift=_drift(med, float(np.median(fine))))
+    baseline = _free_wave_norm(Field(grid, coeffs, "spectral"), DispersionForm.ORIGINAL,
+                               weight, q, np.inf, span, frames)
+    return _free_wave_report("maximal-derivative", DispersionForm.ORIGINAL, weight,
+                             q, np.inf, grid, samples, seed, span, frames,
+                             {"q": q, "epsilon": epsilon,
+                              "single_mode_baseline": baseline})
 
 
 def _companion_shells(n1: float, n2: float, grid: Grid2D):
@@ -168,6 +175,15 @@ def _companion_shells(n1: float, n2: float, grid: Grid2D):
     return 0.5 * n1, 0.5 * n2
 
 
+def _shell_pair_report(estimate: str, one, n1: float, n2: float, grid: Grid2D,
+                       samples: int, seed: int, span: float, frames: int) -> ProbeReport:
+    """Ensemble over the shell pair (n1, n2), drifted against the companion rung."""
+    m1, m2 = _companion_shells(n1, n2, grid)
+    params = {"n1": n1, "n2": n2, "nx": grid.nx, "span": span, "frames": frames,
+              "samples": samples, "companion_n1": m1, "companion_n2": m2}
+    return _ensemble_report(estimate, one, (n1, n2), (m1, m2), samples, seed, params)
+
+
 def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
                    seed: int = 0, span: float = 1.0, frames: int = 33) -> ProbeReport:
     """||P_N1 u P_N2 v||_{L^2} vs (N1^{1/2}/N2) ||u|| ||v||, N1 << N2."""
@@ -181,22 +197,13 @@ def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
         tu = _free_trajectory(u0, DispersionForm.ORIGINAL, span, frames)
         tv = _free_trajectory(v0, DispersionForm.ORIGINAL, span, frames)
         prod = tu.values() * tv.values()
-        coeffs = np.fft.fft2(prod, axes=(1, 2)) / (grid.nx * grid.ny)
+        coeffs = np.fft.fft2(prod, axes=(1, 2), norm="forward")
         stf = SpaceTimeField(grid, 0.0, tu.dt, coeffs)
         lhs = mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0)
         return lhs * n_hi / np.sqrt(n_lo)
 
-    m1, m2 = _companion_shells(n1, n2, grid)
-    base = [one(n1, n2, i) for i in range(samples)]
-    companion = [one(m1, m2, i) for i in range(samples)]
-    med = float(np.median(base))
-    return ProbeReport(
-        estimate="bilinear-lowhigh", seed=seed,
-        params={"n1": n1, "n2": n2, "nx": grid.nx, "span": span,
-                "frames": frames, "samples": samples,
-                "companion_n1": m1, "companion_n2": m2},
-        lhs=med, rhs=1.0, ratio=med, spread=_stats(base),
-        drift=_drift(med, float(np.median(companion))))
+    return _shell_pair_report("bilinear-lowhigh", one, n1, n2, grid, samples, seed,
+                              span, frames)
 
 
 # -- symmetrized-frame estimates --------------------------------------------------
@@ -220,7 +227,7 @@ def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
     """
     if n2 > n1:
         raise UsageError("this probe requires N2 <= N1; swap the arguments")
-    dt = span / (frames - 1)
+    dt = _frame_step(span, frames)
     t = dt * np.arange(frames)
     form = DispersionForm.SYMMETRIZED
     sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
@@ -252,44 +259,18 @@ def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
         lhs = np.sqrt(np.sum(trapezoid_weights(frames, dt) * (taper ** 2) * l2sq))
         return lhs / np.sqrt(n_small)
 
-    m1, m2 = _companion_shells(n1, n2, grid)
-    base = [one(n1, n2, i) for i in range(samples)]
-    companion = [one(m1, m2, i) for i in range(samples)]
-    med = float(np.median(base))
-    return ProbeReport(
-        estimate="gh-bilinear", seed=seed,
-        params={"n1": n1, "n2": n2, "nx": grid.nx, "span": span,
-                "frames": frames, "samples": samples,
-                "companion_n1": m1, "companion_n2": m2},
-        lhs=med, rhs=1.0, ratio=med, spread=_stats(base),
-        drift=_drift(med, float(np.median(companion))))
+    return _shell_pair_report("gh-bilinear", one, n1, n2, grid, samples, seed,
+                              span, frames)
 
 
 def l4_probe(grid: Grid2D, samples: int = 32, seed: int = 0, span: float = 1.0,
              frames: int = 33) -> ProbeReport:
     """|xi|^{1/8}|eta|^{1/8}-weighted free waves in space-time L^4 vs ||u0||_2."""
-    kmax = _band_edge(grid)
+    def weight(g: Grid2D) -> np.ndarray:
+        return (np.abs(g.xi_grid) ** 0.125) * (np.abs(g.eta_grid) ** 0.125)
 
-    def ensemble(g: Grid2D):
-        weight = (np.abs(g.xi_grid) ** 0.125) * (np.abs(g.eta_grid) ** 0.125)
-        out = []
-        for i in range(samples):
-            u0 = random_band_limited(g, seed + i, kmax=kmax, norm="sobolev",
-                                     norm_s=0.0, amplitude=1.0)
-            traj = _free_trajectory(u0, DispersionForm.SYMMETRIZED, span, frames)
-            weighted = SpaceTimeField(g, 0.0, traj.dt, traj.coeffs * weight[None])
-            out.append(mixed_lebesgue_norm(weighted.windowed(), 4.0, 4.0))
-        return out
-
-    base = ensemble(grid)
-    fine = ensemble(_doubled(grid))
-    med = float(np.median(base))
-    return ProbeReport(
-        estimate="l4-riesz", seed=seed,
-        params={"nx": grid.nx, "span": span, "frames": frames,
-                "samples": samples, "kmax": kmax},
-        lhs=med, rhs=1.0, ratio=med, spread=_stats(base),
-        drift=_drift(med, float(np.median(fine))))
+    return _free_wave_report("l4-riesz", DispersionForm.SYMMETRIZED, weight, 4.0, 4.0,
+                             grid, samples, seed, span, frames, {})
 
 
 # -- time-cutoff decomposition -----------------------------------------------------
@@ -451,7 +432,6 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         projector = LPProjector(g)
         weights = {n: projector.weight(n) for n in {n1, n2, n3}}
         dsym = form.nonlinear_derivative(g)
-        scale_fft = g.nx * g.ny
         u0 = Field(g,
                    amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
                                 + shell_field(g, n2, seed + 3 * i + 1).coeffs
@@ -467,9 +447,9 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
 
         def record(st: SolverState):
             c = st.field.coeffs
-            a = np.fft.ifft2(c * weights[n1]).real * scale_fft
-            b = np.fft.ifft2(c * weights[n2]).real * scale_fft
-            d = (np.fft.ifft2(c * weights[n3] * dsym) * scale_fft).real
+            a = np.fft.ifft2(c * weights[n1], norm="forward").real
+            b = np.fft.ifft2(c * weights[n2], norm="forward").real
+            d = np.fft.ifft2(c * weights[n3] * dsym, norm="forward").real
             integrand[st.steps] = np.sum(a * b * d) * g.cell_area
             if st.steps % stride == 0:
                 kept.append(c)
@@ -489,16 +469,13 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         rhs = tval ** power_t * scale * proxies[0] * proxies[1] * proxies[2]
         return form_val / rhs if rhs > 0 else np.inf
 
-    base = [one(grid, t_length, i) for i in range(samples)]
-    fine = [one(_doubled(grid), t_length, i) for i in range(samples)]
-    longer = [one(grid, 2.0 * t_length, i) for i in range(samples)]
-    med = float(np.median(base))
-    return ProbeReport(
-        estimate="trilinear-form", seed=seed,
-        params={"n1": n1, "n2": n2, "n3": n3, "T": t_length, "regime": regime,
-                "nx": grid.nx, "num_steps": num_steps, "samples": samples,
-                "amplitude": amplitude, "proxy_floor": floor,
-                "t_doubling_drift": _drift(med, float(np.median(longer)))},
-        lhs=med, rhs=1.0, ratio=med, spread=_stats(base),
-        drift=_drift(med, float(np.median(fine))),
+    report = _ensemble_report(
+        "trilinear-form", one, (grid, t_length), (_doubled(grid), t_length), samples,
+        seed, {"n1": n1, "n2": n2, "n3": n3, "T": t_length, "regime": regime,
+               "nx": grid.nx, "num_steps": num_steps, "samples": samples,
+               "amplitude": amplitude},
         caveat=TORUS_CAVEAT + "; V2-proxy norms in place of U2/V2")
+    longer = [one(grid, 2.0 * t_length, i) for i in range(samples)]
+    return replace(report, params={
+        **report.params, "proxy_floor": floor,
+        "t_doubling_drift": _drift(report.ratio, float(np.median(longer)))})

@@ -7,7 +7,9 @@ Conventions fixed here and relied on everywhere else:
 * Spectral data are Fourier *series* coefficients: the forward transform is
   ``fft2(u) / (nx * ny)``, so ``u(x, y) = sum_jk uhat[j, k] * exp(i(xi_j x + eta_k y))``
   with wavenumbers ``xi_j = 2*pi*j / lx`` on the centered index set
-  ``{-nx/2, ..., nx/2 - 1}`` in FFT order.
+  ``{-nx/2, ..., nx/2 - 1}`` in FFT order.  This is numpy's
+  ``norm="forward"`` (scaled forward, unscaled inverse); every ``fft2`` and
+  ``ifft2`` in the package passes it instead of scaling by hand.
 * Quadrature: ``integral(u) = lx * ly * uhat[0, 0]`` and Parseval reads
   ``integral(|u|^2) = lx * ly * sum |uhat|^2``.
 """
@@ -133,13 +135,13 @@ class Field:
     def spectral(self) -> "Field":
         if self.space == "spectral":
             return self
-        coeffs = np.fft.fft2(self.data) / (self.grid.nx * self.grid.ny)
+        coeffs = np.fft.fft2(self.data, norm="forward")
         return Field(self.grid, coeffs, "spectral")
 
     def physical(self) -> "Field":
         if self.space == "physical":
             return self
-        vals = np.fft.ifft2(self.data) * (self.grid.nx * self.grid.ny)
+        vals = np.fft.ifft2(self.data, norm="forward")
         return Field(self.grid, np.real(vals), "physical")
 
     @property

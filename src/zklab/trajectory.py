@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .bumps import chi
+from .dynamics import spectral_kernel
 from .errors import DataError, ResolutionError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
@@ -67,8 +68,7 @@ class SpaceTimeField:
 
     def values(self) -> np.ndarray:
         """Physical samples of every frame, shape (K, nx, ny), real."""
-        n = self.grid.nx * self.grid.ny
-        return np.real(np.fft.ifft2(self.coeffs, axes=(1, 2))) * n
+        return np.real(np.fft.ifft2(self.coeffs, axes=(1, 2), norm="forward"))
 
     # -- temporal analysis ----------------------------------------------------
 
@@ -116,7 +116,7 @@ def _modulation_weights(stf: SpaceTimeField, scale: float, form: DispersionForm,
         raise ResolutionError(
             f"modulation scale {scale} outside the resolvable range "
             f"[{bin_width:.3g}, {tau_max / 2.0:.3g}] of this sampling")
-    omega = form.omega(stf.grid)
+    omega = spectral_kernel(stf.grid, form).omega
     # Zero the dispersion term on the temporal Nyquist bin so the multiplier
     # stays even under (zeta, tau) -> (-zeta, -tau) and real fields stay real.
     omega_eff = np.broadcast_to(omega, (k,) + omega.shape).copy()

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from zklab import DispersionForm, energy
+from zklab import DispersionForm, energy, make_grid, trilinear_form_probe
 from zklab.cli import main
-from zklab.reporting import read_frame_csv
+from zklab.reporting import read_frame_csv, write_csv
 
 
 def run(tmp_path, *argv):
@@ -159,6 +159,51 @@ class TestOtherSubcommands:
         lines = open(tmp_path / "probe.csv").read().splitlines()
         assert len(lines) == 2
         assert "ratio" in lines[0]
+
+    @pytest.mark.parametrize("argv, estimate", [
+        (["strichartz", "--nx", "16", "--frames", "5"], "strichartz"),
+        (["maximal", "--nx", "16", "--frames", "5"], "maximal-derivative"),
+        (["bilinear", "--nx", "32", "--N1", "2", "--N2", "8", "--frames", "5"],
+         "bilinear-lowhigh"),
+        (["gh-bilinear", "--nx", "32", "--N1", "4", "--N2", "2", "--frames", "5"],
+         "gh-bilinear"),
+        (["l4", "--nx", "16", "--frames", "5"], "l4-riesz"),
+        (["cutoff", "--T-grid", "0.5,1", "--L-grid", "4,8"], "cutoff-high"),
+        (["trilinear", "--nx", "32", "--N1", "8", "--N2", "2", "--N3", "8",
+          "--T", "0.125", "--num-steps", "64"], "trilinear-form"),
+    ], ids=["strichartz", "maximal", "bilinear", "gh-bilinear", "l4", "cutoff",
+            "trilinear"])
+    def test_every_estimate_writes_its_report(self, tmp_path, argv, estimate):
+        code = run(tmp_path, "probe", "--estimate", *argv, "--samples", "1")
+        assert code == 0
+        man = json.load(open(tmp_path / "manifest.json"))
+        assert man["estimate"] == estimate
+        if argv[0] != "cutoff":
+            header, *rows = open(tmp_path / "probe.csv").read().splitlines()
+            assert len(rows) == 1
+            assert dict(zip(header.split(","), rows[0].split(",")))["estimate"] == estimate
+
+    @pytest.mark.parametrize("estimate, extra", [
+        ("strichartz", []),
+        ("gh-bilinear", ["--nx", "32", "--N1", "4", "--N2", "2"]),
+    ])
+    def test_probe_frame_count(self, tmp_path, capsys, estimate, extra):
+        argv = ["probe", "--estimate", estimate, "--nx", "16", *extra, "--samples", "1"]
+        assert run(tmp_path, *argv, "--frames", "1") == 2
+        assert "error:" in capsys.readouterr().err
+        assert run(tmp_path, *argv, "--frames", "2") == 0
+
+    def test_trilinear_resolves_its_own_steps(self, tmp_path):
+        code = run(tmp_path, "probe", "--estimate", "trilinear", "--nx", "32",
+                   "--N1", "8", "--N2", "2", "--N3", "8", "--T", "0.125",
+                   "--samples", "1")
+        assert code == 0
+        row = trilinear_form_probe(8.0, 2.0, 8.0, 0.125,
+                                   make_grid(32, 32, 2 * np.pi, 2 * np.pi),
+                                   samples=1, seed=0).to_row()
+        expected = tmp_path / "library.csv"
+        write_csv(str(expected), list(row.keys()), [list(row.values())])
+        assert (tmp_path / "probe.csv").read_bytes() == expected.read_bytes()
 
     def test_norms_subcommand(self, tmp_path, capsys):
         run(tmp_path, "simulate", "--nx", "16", "--preset", "cosine-mode",

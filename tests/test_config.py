@@ -15,6 +15,12 @@ class TestDefaults:
         assert cfg.resolved_ny() == 64
         assert cfg.resolved_ly() == cfg.lx
 
+    def test_num_steps_zero_means_derived(self):
+        assert load_config().num_steps == 0
+        with pytest.raises(ConfigurationError) as err:
+            load_config(overrides={"num_steps": -1})
+        assert "num_steps" in str(err.value)
+
     def test_resolution_fallbacks(self):
         cfg = load_config(overrides={"nx": 32, "ny": 16, "ly": 1.0})
         assert cfg.resolved_ny() == 16

@@ -2,10 +2,13 @@
 deterministic cutoff decomposition.  Drift magnitudes on the frozen parameter
 sets are exercised by the acceptance suite."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from zklab import (
+    DispersionForm,
     ResolutionError,
     UsageError,
     bilinear_probe,
@@ -17,7 +20,13 @@ from zklab import (
     maximal_derivative_probe,
     strichartz_probe,
     trilinear_form_probe,
+    twisted_variation,
+    xsb_norm,
+    y_half_proxy,
 )
+from zklab.dynamics import spectral_kernel
+from zklab.ic import random_band_limited
+from zklab.trajectory import SpaceTimeField, modulation_project
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
 
@@ -118,3 +127,103 @@ class TestCutoffDecomposition:
             assert row["normalized"] > 0
         assert rep.drift >= 1.0
         assert rep.params["samples"] == 4
+
+
+G16 = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
+
+# Reports at small sizes, recorded before the probes shared one ensemble
+# harness; (call, estimate, expected numeric fields of to_row()).
+GOLDEN = {
+    "strichartz": (
+        lambda: strichartz_probe(6.0, 4.0, G16, samples=2, seed=1, frames=9),
+        "strichartz",
+        {"lhs": 0.41602435123045123, "ratio_min": 0.41466445565715854,
+         "ratio_max": 0.41738424680374386, "drift": 1.0115375543161096}),
+    "maximal": (
+        lambda: maximal_derivative_probe(G16, samples=2, seed=2, frames=9),
+        "maximal-derivative",
+        {"lhs": 0.38424089106321513, "ratio_min": 0.3505901755369728,
+         "ratio_max": 0.4178916065894574, "drift": 1.004682884931281,
+         "param_single_mode_baseline": 0.15215165118421253}),
+    "bilinear": (
+        lambda: bilinear_probe(2.0, 8.0, G, samples=2, seed=0, frames=9),
+        "bilinear-lowhigh",
+        {"lhs": 0.5895769524226067, "ratio_min": 0.5827501526533357,
+         "ratio_max": 0.5964037521918776, "drift": 1.4021421570707655,
+         "param_companion_n1": 1.0, "param_companion_n2": 4.0}),
+    "gh-bilinear": (
+        lambda: gh_bilinear_probe(4.0, 2.0, G, samples=2, seed=3, frames=5),
+        "gh-bilinear",
+        {"lhs": 0.20883209056624308, "ratio_min": 0.20110156666104415,
+         "ratio_max": 0.21656261447144198, "drift": 1.444065017003545,
+         "param_companion_n1": 2.0, "param_companion_n2": 1.0}),
+    "l4": (
+        lambda: l4_probe(G16, samples=2, seed=0, frames=9),
+        "l4-riesz",
+        {"lhs": 0.41794122591960237, "ratio_min": 0.40270608102688205,
+         "ratio_max": 0.43317637081232263, "drift": 1.0345355479970262}),
+    "cutoff": (
+        lambda: cutoff_probe((0.5, 1.0), (4.0, 8.0), num_nodes=1024)[1],
+        "cutoff-high",
+        {"lhs": 0.5049710613921395, "ratio_min": 0.4172781575011646,
+         "ratio_max": 0.6847953307372122, "drift": 1.3593344993677754}),
+    "trilinear": (
+        lambda: trilinear_form_probe(8.0, 2.0, 8.0, 0.125, G, samples=1, seed=0,
+                                     num_steps=64),
+        "trilinear-form",
+        {"lhs": 2303.202041952955, "ratio_min": 2303.202041952955,
+         "ratio_max": 2303.202041952955, "drift": 2.4703848855914945,
+         "param_proxy_floor": 9.414054607095407e-05,
+         "param_t_doubling_drift": 2.994952626252616, "param_num_steps": 64}),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_row_matches_recorded_values(self, name):
+        call, estimate, expected = GOLDEN[name]
+        row = call().to_row()
+        assert row["estimate"] == estimate
+        assert row["ratio"] == row["lhs"] and row["rhs"] == 1.0
+        for key, value in expected.items():
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+class TestSharedDispersion:
+    def test_omega_built_once_per_grid_and_form(self, monkeypatch):
+        built = Counter()
+        original = DispersionForm.omega
+
+        def counting(form, grid):
+            built[(form, grid)] += 1
+            return original(form, grid)
+
+        spectral_kernel.cache_clear()
+        monkeypatch.setattr(DispersionForm, "omega", counting)
+        strichartz_probe(6.0, 4.0, G16, samples=2, seed=0, frames=9)
+        u0 = random_band_limited(G16, seed=1, kmax=4.0)
+        stf = SpaceTimeField(G16, 0.0, 0.05, np.stack([u0.coeffs] * 16))
+        for form in DispersionForm:
+            twisted_variation(stf, 2.0, form)
+            y_half_proxy(stf, form)
+            xsb_norm(stf, 0.0, 0.5, form)
+            modulation_project(stf, 16.0, form)
+        spectral_kernel.cache_clear()
+        g32 = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
+        assert built == {(DispersionForm.ORIGINAL, G16): 1,
+                         (DispersionForm.ORIGINAL, g32): 1,
+                         (DispersionForm.SYMMETRIZED, G16): 1}
+
+
+class TestFrameCount:
+    @pytest.mark.parametrize("call", [
+        lambda f: strichartz_probe(6.0, 4.0, G16, samples=1, frames=f),
+        lambda f: maximal_derivative_probe(G16, samples=1, frames=f),
+        lambda f: bilinear_probe(2.0, 8.0, G, samples=1, frames=f),
+        lambda f: gh_bilinear_probe(4.0, 2.0, G, samples=1, frames=f),
+        lambda f: l4_probe(G16, samples=1, frames=f),
+    ], ids=["strichartz", "maximal", "bilinear", "gh-bilinear", "l4"])
+    def test_single_frame_is_a_usage_error(self, call):
+        with pytest.raises(UsageError, match="frames"):
+            call(1)
+        assert call(2).ratio >= 0
