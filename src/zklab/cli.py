@@ -31,85 +31,34 @@ from .spectral import Grid2D
 __all__ = ["main"]
 
 
+# Flags every subcommand takes after --config.  A flag spec is the flag name,
+# or "flag=key" where the RunConfig key is not the flag with dashes turned
+# into underscores; the argparse type comes from the key's default (int and
+# float; anything else is passed on as a string for load_config to coerce).
+_COMMON = ("output-dir", "seed", "nx", "ny", "lx", "ly", "form", "preset",
+           "amplitude", "sigma", "kmax", "envelope", "norm", "norm-s")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zklab",
         description="Pseudospectral lab for the 2D Zakharov-Kuznetsov equation")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    defaults = RunConfig()
+    choices = {"form": [f.value for f in DispersionForm],
+               "estimate": [*_PROBES, "cutoff"], "norm_name": list(_NORMS)}
+    for name, (_, summary, specs) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat-key JSON config file")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--nx", type=int)
-        p.add_argument("--ny", type=int)
-        p.add_argument("--lx", type=float)
-        p.add_argument("--ly", type=float)
-        p.add_argument("--form", choices=["original", "symmetrized"])
-        p.add_argument("--preset")
-        p.add_argument("--amplitude", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--kmax", type=float)
-        p.add_argument("--envelope", type=float)
-        p.add_argument("--norm")
-        p.add_argument("--norm-s", dest="norm_s", type=float)
-
-    p = sub.add_parser("simulate", help="time-step an initial condition")
-    common(p)
-    p.add_argument("--T", dest="t_final", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--sample-every", dest="sample_every", type=int)
-    p.add_argument("--dump-frames", dest="dump_frames", action="store_true",
-                   default=None)
-
-    p = sub.add_parser("picard", help="Duhamel fixed-point iteration")
-    common(p)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-iter", dest="n_iter", type=int)
-    p.add_argument("--num-nodes", dest="num_nodes", type=int)
-    p.add_argument("--c0", type=float)
-
-    p = sub.add_parser("imethod-scan", help="modified-energy increments over N")
-    common(p)
-    p.add_argument("--s", type=float)
-    p.add_argument("--N-list", dest="n_list")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--dt", type=float)
-
-    p = sub.add_parser("gwp", help="rescale-and-iterate globalization run")
-    common(p)
-    p.add_argument("--s", type=float)
-    p.add_argument("--T", dest="t_target", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--N", dest="n_block", type=float)
-    p.add_argument("--max-windows", dest="max_windows", type=int)
-
-    p = sub.add_parser("probe", help="randomized estimate probes")
-    common(p)
-    p.add_argument("--estimate", choices=["strichartz", "maximal", "bilinear",
-                                          "gh-bilinear", "l4", "cutoff",
-                                          "trilinear"])
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--N1", dest="n1", type=float)
-    p.add_argument("--N2", dest="n2", type=float)
-    p.add_argument("--N3", dest="n3", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--span", type=float)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--T-grid", dest="t_grid")
-    p.add_argument("--L-grid", dest="l_grid")
-    p.add_argument("--T", dest="t_length", type=float)
-    p.add_argument("--num-steps", dest="num_steps", type=int)
-
-    p = sub.add_parser("norms", help="norms of a stored frame")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--norm-name", dest="norm_name",
-                   choices=["sobolev", "homogeneous-sobolev", "besov", "lebesgue"])
-    p.add_argument("--s", dest="s", type=float)
-    p.add_argument("--p", type=float)
+        for spec in _COMMON + specs:
+            flag, _, key = spec.partition("=")
+            key = key or flag.replace("-", "_")
+            kind = type(getattr(defaults, key))
+            if kind is bool:
+                p.add_argument(f"--{flag}", dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(f"--{flag}", dest=key, choices=choices.get(key),
+                               type=kind if kind in (int, float) else None)
     return parser
 
 
@@ -261,27 +210,27 @@ def _run_probe(config: RunConfig, outdir: str) -> None:
             {"drift": report.drift, "estimate": report.estimate})
 
 
+# norm name -> NormReport of (name, field, config)
+_NORMS = {
+    "sobolev": lambda n, f, c: NormReport(n, sobolev_norm(f, c.s), {"s": c.s}, ""),
+    "homogeneous-sobolev": lambda n, f, c: NormReport(
+        n, sobolev_norm(f, c.s, homogeneous=True), {"s": c.s},
+        "seminorm: zero mode dropped"),
+    "besov": lambda n, f, c: NormReport(f"{n}-2-1", besov_norm_2_1(f, c.s),
+                                        {"s": c.s}, ""),
+    "lebesgue": lambda n, f, c: NormReport(n, lebesgue_norm(f, c.p), {"r": c.p}, ""),
+}
+
+
 def _run_norms(config: RunConfig, outdir: str) -> None:
     started = time.monotonic()
     if not config.input:
         raise ConfigurationError("config key 'input': a frame file is required")
     field = read_frame_csv(config.input)
     name = config.norm_name
-    if name == "sobolev":
-        report = NormReport("sobolev", sobolev_norm(field, config.s),
-                            {"s": config.s}, "")
-    elif name == "homogeneous-sobolev":
-        report = NormReport("homogeneous-sobolev",
-                            sobolev_norm(field, config.s, homogeneous=True),
-                            {"s": config.s}, "seminorm: zero mode dropped")
-    elif name == "besov":
-        report = NormReport("besov-2-1", besov_norm_2_1(field, config.s),
-                            {"s": config.s}, "")
-    elif name == "lebesgue":
-        report = NormReport("lebesgue", lebesgue_norm(field, config.p),
-                            {"r": config.p}, "")
-    else:
+    if name not in _NORMS:
         raise ConfigurationError(f"unknown norm {name!r}")
+    report = _NORMS[name](name, field, config)
     out = os.path.join(outdir, "norms.csv")
     row = report.to_row()
     write_csv(out, list(row.keys()), [list(row.values())])
@@ -289,13 +238,21 @@ def _run_norms(config: RunConfig, outdir: str) -> None:
     _finish("norms", config, outdir, started, [out], {"value": report.value})
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "picard": _run_picard,
-    "imethod-scan": _run_scan,
-    "gwp": _run_gwp,
-    "probe": _run_probe,
-    "norms": _run_norms,
+# subcommand -> (runner, help line, flag specs after the common ones)
+_SUBCOMMANDS = {
+    "simulate": (_run_simulate, "time-step an initial condition",
+                 ("T=t_final", "dt", "sample-every", "dump-frames")),
+    "picard": (_run_picard, "Duhamel fixed-point iteration",
+               ("horizon", "n-iter", "num-nodes", "c0")),
+    "imethod-scan": (_run_scan, "modified-energy increments over N",
+                     ("s", "N-list=n_list", "delta", "dt")),
+    "gwp": (_run_gwp, "rescale-and-iterate globalization run",
+            ("s", "T=t_target", "delta", "dt", "N=n_block", "max-windows")),
+    "probe": (_run_probe, "randomized estimate probes",
+              ("estimate", "q", "r", "N1=n1", "N2=n2", "N3=n3", "samples", "span",
+               "frames", "T-grid=t_grid", "L-grid=l_grid", "T=t_length",
+               "num-steps")),
+    "norms": (_run_norms, "norms of a stored frame", ("input", "norm-name", "s", "p")),
 }
 
 
@@ -305,7 +262,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         outdir = _output_dir(config)
         os.makedirs(outdir, exist_ok=True)
-        _RUNNERS[args.subcommand](config, outdir)
+        _SUBCOMMANDS[args.subcommand][0](config, outdir)
     except (ConfigurationError, UsageError, ResolutionError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

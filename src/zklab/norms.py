@@ -18,6 +18,7 @@ from .dynamics import spectral_kernel
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import LPProjector, dyadic_shells, shell_weight
+from .quadrature import trapezoid_weights
 from .spectral import Field
 from .trajectory import SpaceTimeField
 
@@ -103,10 +104,7 @@ def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> float:
         return float(framewise.max())
     if q < 1:
         raise UsageError(f"q must be >= 1, got {q}")
-    if stf.num_frames == 1:
-        return 0.0
-    weights = np.full(stf.num_frames, stf.dt)
-    weights[0] = weights[-1] = 0.5 * stf.dt
+    weights = trapezoid_weights(stf.num_frames, stf.dt)
     return float(np.sum(weights * framewise ** q) ** (1.0 / q))
 
 

@@ -431,7 +431,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         nonlocal floor
         projector = LPProjector(g)
         weights = {n: projector.weight(n) for n in {n1, n2, n3}}
-        dsym = form.nonlinear_derivative(g)
+        dsym = -spectral_kernel(g, form).neg_dmask
         u0 = Field(g,
                    amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
                                 + shell_field(g, n2, seed + 3 * i + 1).coeffs

@@ -7,7 +7,9 @@ same configuration produce byte-identical bodies and values round-trip.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
@@ -49,15 +51,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Plain CSV with one header line; cells formatted via format_value."""
-    lines = [",".join(header)]
+    """CSV with one header line; cells formatted via format_value and quoted
+    only where they hold a comma or a double quote."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
         if isinstance(row, dict):
             cells = [row.get(col.split(" ")[0], "") for col in header]
         else:
             cells = list(row)
-        lines.append(",".join(format_value(c) for c in cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        writer.writerow([format_value(c) for c in cells])
+    _atomic_write(path, text.getvalue())
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -1,13 +1,17 @@
 """End-to-end command-line tests, run in-process via main()."""
 
+import argparse
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from zklab import DispersionForm, energy, make_grid, trilinear_form_probe
-from zklab.cli import main
+from zklab import (DispersionForm, besov_norm_2_1, energy, format_value, l4_probe,
+                   lebesgue_norm, make_grid, random_band_limited, sobolev_norm,
+                   trilinear_form_probe, write_frame_csv)
+from zklab.cli import _parser, main
 from zklab.reporting import read_frame_csv, write_csv
 
 
@@ -216,7 +220,149 @@ class TestOtherSubcommands:
         assert "sobolev =" in out
         assert (tmp_path / "norms.csv").exists()
 
+    def test_probe_csv_reads_back(self, tmp_path):
+        code = run(tmp_path, "probe", "--estimate", "l4", "--nx", "16",
+                   "--samples", "1", "--frames", "9")
+        assert code == 0
+        with open(tmp_path / "probe.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = l4_probe(make_grid(16, 16, 2 * np.pi, 2 * np.pi), samples=1,
+                            seed=0, span=1.0, frames=9).to_row()
+        assert "," in expected["caveat"]
+        assert rows == [{k: format_value(v) for k, v in expected.items()}]
+
+    @pytest.mark.parametrize("name, reported, value", [
+        ("sobolev", "sobolev", lambda f: sobolev_norm(f, 1.5)),
+        ("homogeneous-sobolev", "homogeneous-sobolev",
+         lambda f: sobolev_norm(f, 1.5, homogeneous=True)),
+        ("besov", "besov-2-1", lambda f: besov_norm_2_1(f, 1.5)),
+        ("lebesgue", "lebesgue", lambda f: lebesgue_norm(f, 3.0)),
+    ])
+    def test_every_norm_writes_the_library_value(self, tmp_path, capsys, name,
+                                                  reported, value):
+        frame = tmp_path / "frame.csv"
+        write_frame_csv(str(frame), random_band_limited(
+            make_grid(8, 8, 2 * np.pi, 2 * np.pi), seed=5, kmax=2.0))
+        code = run(tmp_path, "norms", "--input", str(frame), "--norm-name", name,
+                   "--s", "1.5", "--p", "3")
+        assert code == 0
+        expected = value(read_frame_csv(str(frame)))
+        with open(tmp_path / "norms.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["name"] == reported
+        assert row["value"] == format_value(expected)
+        assert f"{reported} = {expected:.17g}" in capsys.readouterr().out
+        assert json.load(open(tmp_path / "manifest.json"))["value"] == expected
+
     def test_norms_requires_input(self, tmp_path, capsys):
         code = run(tmp_path, "norms", "--norm-name", "sobolev")
         assert code == 2
         assert "input" in capsys.readouterr().err
+
+
+# Every action of every subcommand parser, recorded from the hand-written
+# parser that the table-built one replaced: option strings, dest, type,
+# choices and action kind.
+_COMMON_ACTIONS = [
+    (("-h", "--help"), "help", None, None, "_HelpAction"),
+    (("--config",), "config", None, None, "_StoreAction"),
+    (("--output-dir",), "output_dir", None, None, "_StoreAction"),
+    (("--seed",), "seed", int, None, "_StoreAction"),
+    (("--nx",), "nx", int, None, "_StoreAction"),
+    (("--ny",), "ny", int, None, "_StoreAction"),
+    (("--lx",), "lx", float, None, "_StoreAction"),
+    (("--ly",), "ly", float, None, "_StoreAction"),
+    (("--form",), "form", None, {"original", "symmetrized"}, "_StoreAction"),
+    (("--preset",), "preset", None, None, "_StoreAction"),
+    (("--amplitude",), "amplitude", float, None, "_StoreAction"),
+    (("--sigma",), "sigma", float, None, "_StoreAction"),
+    (("--kmax",), "kmax", float, None, "_StoreAction"),
+    (("--envelope",), "envelope", float, None, "_StoreAction"),
+    (("--norm",), "norm", None, None, "_StoreAction"),
+    (("--norm-s",), "norm_s", float, None, "_StoreAction"),
+]
+_SUBCOMMAND_ACTIONS = {
+    "simulate": [
+        (("--T",), "t_final", float, None, "_StoreAction"),
+        (("--dt",), "dt", float, None, "_StoreAction"),
+        (("--sample-every",), "sample_every", int, None, "_StoreAction"),
+        (("--dump-frames",), "dump_frames", None, None, "_StoreTrueAction"),
+    ],
+    "picard": [
+        (("--horizon",), "horizon", float, None, "_StoreAction"),
+        (("--n-iter",), "n_iter", int, None, "_StoreAction"),
+        (("--num-nodes",), "num_nodes", int, None, "_StoreAction"),
+        (("--c0",), "c0", float, None, "_StoreAction"),
+    ],
+    "imethod-scan": [
+        (("--s",), "s", float, None, "_StoreAction"),
+        (("--N-list",), "n_list", None, None, "_StoreAction"),
+        (("--delta",), "delta", float, None, "_StoreAction"),
+        (("--dt",), "dt", float, None, "_StoreAction"),
+    ],
+    "gwp": [
+        (("--s",), "s", float, None, "_StoreAction"),
+        (("--T",), "t_target", float, None, "_StoreAction"),
+        (("--delta",), "delta", float, None, "_StoreAction"),
+        (("--dt",), "dt", float, None, "_StoreAction"),
+        (("--N",), "n_block", float, None, "_StoreAction"),
+        (("--max-windows",), "max_windows", int, None, "_StoreAction"),
+    ],
+    "probe": [
+        (("--estimate",), "estimate", None,
+         {"strichartz", "maximal", "bilinear", "gh-bilinear", "l4", "cutoff",
+          "trilinear"}, "_StoreAction"),
+        (("--q",), "q", float, None, "_StoreAction"),
+        (("--r",), "r", float, None, "_StoreAction"),
+        (("--N1",), "n1", float, None, "_StoreAction"),
+        (("--N2",), "n2", float, None, "_StoreAction"),
+        (("--N3",), "n3", float, None, "_StoreAction"),
+        (("--samples",), "samples", int, None, "_StoreAction"),
+        (("--span",), "span", float, None, "_StoreAction"),
+        (("--frames",), "frames", int, None, "_StoreAction"),
+        (("--T-grid",), "t_grid", None, None, "_StoreAction"),
+        (("--L-grid",), "l_grid", None, None, "_StoreAction"),
+        (("--T",), "t_length", float, None, "_StoreAction"),
+        (("--num-steps",), "num_steps", int, None, "_StoreAction"),
+    ],
+    "norms": [
+        (("--input",), "input", None, None, "_StoreAction"),
+        (("--norm-name",), "norm_name", None,
+         {"sobolev", "homogeneous-sobolev", "besov", "lebesgue"}, "_StoreAction"),
+        (("--s",), "s", float, None, "_StoreAction"),
+        (("--p",), "p", float, None, "_StoreAction"),
+    ],
+}
+
+
+def _subparsers() -> dict:
+    parser = _parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(_SUBCOMMAND_ACTIONS))
+    def test_actions_match_the_recorded_table(self, name):
+        actions = _subparsers()[name]._actions
+        got = [(tuple(a.option_strings), a.dest, a.type,
+                set(a.choices) if a.choices else None, type(a).__name__)
+               for a in actions]
+        assert got == _COMMON_ACTIONS + _SUBCOMMAND_ACTIONS[name]
+        # unset flags must not override the config file or the defaults
+        assert all(a.default is None for a in actions[1:])
+
+    def test_subcommands_in_order(self):
+        assert list(_subparsers()) == list(_SUBCOMMAND_ACTIONS)
+
+    @pytest.mark.parametrize("name, key", [
+        ("simulate", "t_final"), ("gwp", "t_target"), ("probe", "t_length")])
+    def test_T_resolves_per_subcommand(self, name, key):
+        args = _parser().parse_args([name, "--T", "0.5"])
+        assert getattr(args, key) == 0.5
+
+    def test_malformed_int_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--nx", "abc"])
+        assert exc.value.code == 2
+        assert "argument --nx: invalid int value: 'abc'" in capsys.readouterr().err

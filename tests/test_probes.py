@@ -214,6 +214,22 @@ class TestSharedDispersion:
                          (DispersionForm.ORIGINAL, g32): 1,
                          (DispersionForm.SYMMETRIZED, G16): 1}
 
+    def test_trilinear_derivative_built_once_per_grid(self, monkeypatch):
+        built = Counter()
+        original = DispersionForm.nonlinear_derivative
+
+        def counting(form, grid):
+            built[(form, grid)] += 1
+            return original(form, grid)
+
+        spectral_kernel.cache_clear()
+        monkeypatch.setattr(DispersionForm, "nonlinear_derivative", counting)
+        trilinear_form_probe(4.0, 1.0, 4.0, 0.0625, G16, samples=2, num_steps=4)
+        spectral_kernel.cache_clear()
+        g32 = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
+        assert built == {(DispersionForm.SYMMETRIZED, G16): 1,
+                         (DispersionForm.SYMMETRIZED, g32): 1}
+
 
 class TestFrameCount:
     @pytest.mark.parametrize("call", [

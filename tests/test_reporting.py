@@ -1,5 +1,6 @@
 """Artifact-emission tests: round trips, formatting, manifest schema."""
 
+import csv
 import json
 import os
 
@@ -46,6 +47,16 @@ class TestCsvJson:
         assert lines[0] == "a,b (units)"
         assert lines[1] == "1,2.5"
         assert lines[2] == "3,4.5"
+
+    def test_csv_quotes_only_cells_with_commas_or_quotes(self, tmp_path):
+        path = str(tmp_path / "out.csv")
+        cells = ["x, y", 'say "hi"', 1.5, ""]
+        write_csv(path, ["a", "b", "c", "d"], [cells])
+        lines = open(path).read().splitlines()
+        assert lines == ["a,b,c,d", '"x, y","say ""hi""",1.5,']
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["a", "b", "c", "d"],
+                                            ["x, y", 'say "hi"', "1.5", ""]]
 
     def test_json_deterministic(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
