@@ -9,7 +9,7 @@ else the current directory.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 import time
@@ -169,7 +169,7 @@ def _run_gwp(config: RunConfig, outdir: str) -> None:
                            n=config.n_block or None,
                            max_windows=config.max_windows)
     out = os.path.join(outdir, "gwp_ledger.json")
-    write_json(out, json.loads(ledger.to_json()))
+    write_json(out, dataclasses.asdict(ledger))
     _finish("gwp", config, outdir, started, [out], {"status": ledger.status})
 
 

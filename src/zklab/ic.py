@@ -58,10 +58,9 @@ def two_pulses(grid: Grid2D, c1: float = 1.0, c2: float = 0.5,
 
 def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
                         envelope: float | None = None, amplitude: float = 1.0,
-                        norm: str | None = None, norm_s: float = 0.0,
-                        zero_mean: bool = True) -> Field:
+                        norm: str | None = None, norm_s: float = 0.0) -> Field:
     """Smooth random field: white noise shaped by a Gaussian spectral envelope
-    and truncated at radius kmax (default: the 2/3 dealias edge).
+    and truncated at radius kmax (default: the 2/3 dealias edge), zero mean.
 
     ``norm='h1'``-style requests rescale so sobolev_norm(u, norm_s) equals
     ``amplitude``; with norm=None, amplitude multiplies the raw unit-variance
@@ -77,8 +76,7 @@ def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
     if envelope is not None:
         coeffs = coeffs * np.exp(-(r / envelope) ** 2 / 2.0)
     coeffs = np.where(keep, coeffs, 0.0)
-    if zero_mean:
-        coeffs[0, 0] = 0.0
+    coeffs[0, 0] = 0.0
     out = dealias(Field(grid, coeffs, "spectral"))
     if norm is not None:
         if norm != "sobolev":

@@ -12,28 +12,27 @@ Galerkin flow:
     M4 = (xi_1 + xi_2) m(z1 + z2) / (m(z1) m(z2)),
 
 with the convention Lambda_k(m; u) = lx*ly * sum over the zero-sum lattice
-hyperplane of m * prod uhat(zeta_j).  With ``restrict_pairs=True`` (the
-default) the M4 pair frequency additionally carries the 2/3-band indicator
-of the solver's dealiasing, which is what makes the identity exact for the
-discrete flow up to time quadrature; disable it for the continuum-faithful
-symbol on quarter-band data.
+hyperplane of m * prod uhat(zeta_j).  The M3 and M4 pair frequencies carry
+the 2/3-band indicator of the solver's dealiasing, which is what makes the
+identity exact for the discrete flow up to time quadrature.  The factored
+evaluators band-check each distinct input once and transform it at most once
+per transform they need; the 2/3 mask is the shared spectral kernel's.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import evolve
+from .dynamics import evolve, spectral_kernel
 from .errors import DataError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
 from .quadrature import definite_integral
 from .scaling import rescale
-from .spectral import Field, Grid2D, dealias, dealias_mask, derivative
+from .spectral import Field, Grid2D, dealias, derivative
 from .trajectory import SpaceTimeField
 
 __all__ = ["IMultiplier", "MultilinearSymbol", "IncrementReport", "ScanResult",
@@ -102,7 +101,7 @@ def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> floa
     lattice quadrature is exact; this is the quantity the dealiased Galerkin
     flow conserves up to integrator error.
     """
-    u = dealias(field)
+    u = field.multiplier(spectral_kernel(field.grid, form).mask)
     ux = derivative(u, 1, 0).values
     uy = derivative(u, 0, 1).values
     vals = u.values
@@ -159,6 +158,13 @@ def _require_band(field: Field, mask: np.ndarray, what: str) -> np.ndarray:
         raise DataError(f"{what} requires input with no content outside the "
                         "2/3 dealias band; apply dealias() first")
     return coeffs
+
+
+def _once_each(items, fn) -> list:
+    """fn of each slot, evaluated once per distinct item (by identity)."""
+    done = {id(x): x for x in items}
+    done = {key: fn(x) for key, x in done.items()}
+    return [done[id(x)] for x in items]
 
 
 def _as_field_list(fields, arity: int) -> list[Field]:
@@ -223,32 +229,28 @@ def _direct_lambda(fields: list[Field], symbol: MultilinearSymbol) -> complex:
     raise UsageError(f"direct evaluation supports arity 3 or 4, got {symbol.arity}")
 
 
-def lambda3(fields, symbol: MultilinearSymbol, method: str = "auto") -> complex:
-    """Lambda_3(m; u1, u2, u3) = lx*ly * sum_{z1+z2+z3=0} m * prod uhat."""
-    if symbol.arity != 3:
-        raise UsageError("lambda3 needs an arity-3 symbol")
-    fields = _as_field_list(fields, 3)
+def _lambda(arity: int, fields, symbol: MultilinearSymbol, method: str) -> complex:
+    if symbol.arity != arity:
+        raise UsageError(f"lambda{arity} needs an arity-{arity} symbol")
+    fields = _as_field_list(fields, arity)
     if method == "auto" and symbol.factored is not None:
         return symbol.factored(fields)
     if method not in ("auto", "direct"):
         raise UsageError(f"method must be 'auto' or 'direct', got {method!r}")
     return _direct_lambda(fields, symbol)
+
+
+def lambda3(fields, symbol: MultilinearSymbol, method: str = "auto") -> complex:
+    """Lambda_3(m; u1, u2, u3) = lx*ly * sum_{z1+z2+z3=0} m * prod uhat."""
+    return _lambda(3, fields, symbol, method)
 
 
 def lambda4(fields, symbol: MultilinearSymbol, method: str = "auto") -> complex:
     """Lambda_4(m; u1, ..., u4), same conventions as lambda3."""
-    if symbol.arity != 4:
-        raise UsageError("lambda4 needs an arity-4 symbol")
-    fields = _as_field_list(fields, 4)
-    if method == "auto" and symbol.factored is not None:
-        return symbol.factored(fields)
-    if method not in ("auto", "direct"):
-        raise UsageError(f"method must be 'auto' or 'direct', got {method!r}")
-    return _direct_lambda(fields, symbol)
+    return _lambda(4, fields, symbol, method)
 
 
-def increment_symbols(mult: IMultiplier, grid: Grid2D,
-                      restrict_pairs: bool = True):
+def increment_symbols(mult: IMultiplier, grid: Grid2D):
     """The (M3, M4) pair of the modified-energy increment identity.
 
     Both carry factored fast evaluators (a handful of FFTs); the pointwise
@@ -260,8 +262,6 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D,
     sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
 
     def pair_gate(xi_sum, eta_sum):
-        if not restrict_pairs:
-            return np.ones_like(np.asarray(xi_sum, dtype=np.float64))
         j = np.rint(np.asarray(xi_sum) / sx)
         k = np.rint(np.asarray(eta_sum) / sy)
         return ((np.abs(j) <= jmax_x) & (np.abs(k) <= jmax_y)).astype(np.float64)
@@ -284,52 +284,39 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D,
         gate = pair_gate(xs, es)
         return xi_nyq(xs) * m(xs, es) * gate / (m(xis[0], etas[0]) * m(xis[1], etas[1]))
 
-    mask = dealias_mask(grid)
+    mask = spectral_kernel(grid, DispersionForm.ORIGINAL).mask
     msym = mult.symbol(grid)
-    pair_mult = mask.astype(np.float64) if restrict_pairs else np.ones_like(msym)
-    xi_pair = np.where(np.arange(grid.nx) == grid.nx // 2, 0.0, grid.xi)[:, None] \
-        + 0.0 * grid.eta[None, :]
+    dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
+    # the band mask is a no-op on the zero-sum hyperplane of M3 (the pair
+    # frequency equals -zeta_1, already in band) but discards products that
+    # would otherwise wrap around the lattice
+    m_band = msym * mask
+    xi_pair = np.where(np.arange(grid.nx) == grid.nx // 2, 0.0, grid.xi)
+    m4_pair = xi_pair[:, None] * m_band
 
     def to_phys(coeffs):
         return np.fft.ifft2(coeffs, norm="forward")
 
     def m3_factored(fields):
-        w = [_require_band(f, mask, "lambda3 (factored)") for f in fields]
-        ghat = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2) * w[0]
-        gp = to_phys(ghat)
-        w2p, w3p = to_phys(w[1]).real, to_phys(w[2]).real
+        w = _once_each(fields, lambda f: _require_band(f, mask, "lambda3 (factored)"))
+        gp = to_phys(dx_lap * w[0])
+        w2p, w3p = _once_each(w[1:], lambda c: to_phys(c).real)
         term_a = np.sum(gp * (w2p * w3p)) * grid.cell_area
-        v2p, v3p = to_phys(w[1] / msym).real, to_phys(w[2] / msym).real
-        # the band mask is a no-op on the zero-sum hyperplane (the pair
-        # frequency equals -zeta_1, already in band) but discards products
-        # that would otherwise wrap around the lattice
-        pair_hat = np.fft.fft2(v2p * v3p, norm="forward") * (msym * mask)
+        v2p, v3p = _once_each(w[1:], lambda c: to_phys(c / msym).real)
+        pair_hat = np.fft.fft2(v2p * v3p, norm="forward") * m_band
         term_b = np.sum(gp * to_phys(pair_hat)) * grid.cell_area
         return complex(term_a - term_b)
 
     def m4_factored(fields):
-        w = [_require_band(f, mask, "lambda4 (factored)") for f in fields]
-        if not restrict_pairs:
-            quarter = _quarter_mask(grid)
-            for f in fields:
-                if np.any(f.coeffs[~quarter] != 0):
-                    raise DataError("unrestricted lambda4 needs quarter-band data "
-                                    "(|j| <= nx/4, |k| <= ny/4)")
-        v1p, v2p = to_phys(w[0] / msym).real, to_phys(w[1] / msym).real
-        pair_hat = np.fft.fft2(v1p * v2p, norm="forward")
-        fp = to_phys(xi_pair * msym * pair_mult * pair_hat)
-        w3p, w4p = to_phys(w[2]).real, to_phys(w[3]).real
+        w = _once_each(fields, lambda f: _require_band(f, mask, "lambda4 (factored)"))
+        v1p, v2p = _once_each(w[:2], lambda c: to_phys(c / msym).real)
+        fp = to_phys(m4_pair * np.fft.fft2(v1p * v2p, norm="forward"))
+        w3p, w4p = _once_each(w[2:], lambda c: to_phys(c).real)
         return complex(np.sum(fp * (w3p * w4p)) * grid.cell_area)
 
     m3 = MultilinearSymbol(3, m3_fn, name="increment-M3", factored=m3_factored)
     m4 = MultilinearSymbol(4, m4_fn, name="increment-M4", factored=m4_factored)
     return m3, m4
-
-
-def _quarter_mask(grid: Grid2D) -> np.ndarray:
-    jx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
-    jy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
-    return (np.abs(jx) <= grid.nx / 4.0)[:, None] & (np.abs(jy) <= grid.ny / 4.0)[None, :]
 
 
 # -- increment identity and scans ----------------------------------------------
@@ -348,8 +335,7 @@ class IncrementReport:
     FLOOR = 1e-14
 
 
-def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier,
-                             restrict_pairs: bool = True) -> IncrementReport:
+def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> IncrementReport:
     """Check E(Iu)(end) - E(Iu)(0) against the time-integrated Lambda forms.
 
     The integrand is sampled at every frame and integrated by composite
@@ -357,7 +343,7 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier,
     """
     if trajectory.num_frames < 5:
         raise UsageError("increment check needs at least 5 frames")
-    m3, m4 = increment_symbols(mult, trajectory.grid, restrict_pairs)
+    m3, m4 = increment_symbols(mult, trajectory.grid)
     msym = mult.symbol(trajectory.grid)
     vals3 = np.empty(trajectory.num_frames, dtype=np.complex128)
     vals4 = np.empty(trajectory.num_frames, dtype=np.complex128)
@@ -445,14 +431,6 @@ class GwpLedger:
     hs_final: float = 0.0
     growth_factor: float = 0.0
     exponents: dict = dc_field(default_factory=dict)
-
-    def to_json(self, **extra) -> str:
-        payload = {k: getattr(self, k) for k in
-                   ("s", "n", "lam", "delta", "dt", "t_target", "status",
-                    "windows", "hs_initial", "hs_final", "growth_factor",
-                    "exponents")}
-        payload.update(extra)
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,

@@ -173,10 +173,10 @@ def twisted_variation(stf: SpaceTimeField, p: float, form: DispersionForm) -> fl
     return pvariation_norm(twisted.reshape(stf.num_frames, -1), p)
 
 
-def y_half_proxy(stf: SpaceTimeField, form: DispersionForm, p: float = 2.0) -> float:
+def y_half_proxy(stf: SpaceTimeField, form: DispersionForm) -> float:
     """Shell-summed proxy for the Y^(1/2) norm.
 
-    Core-block twisted V^p plus sum_N N^(1/2) times the shell twisted V^p.
+    Core-block twisted V^2 plus sum_N N^(1/2) times the shell twisted V^2.
     This stands in for the atomic U^2-based space; reports that quote it are
     labeled as the V^2 proxy.
     """
@@ -185,6 +185,6 @@ def y_half_proxy(stf: SpaceTimeField, form: DispersionForm, p: float = 2.0) -> f
     for block in [0.0] + dyadic_shells(g):
         weight = shell_weight(g.abs_zeta, block)
         projected = SpaceTimeField(g, stf.t0, stf.dt, stf.coeffs * weight[None, :, :])
-        tv = twisted_variation(projected, p, form)
+        tv = twisted_variation(projected, 2.0, form)
         total += tv if block == 0.0 else np.sqrt(block) * tv
     return float(total)

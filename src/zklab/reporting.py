@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import tempfile
@@ -177,7 +178,7 @@ class DiagnosticsRecorder:
     def __call__(self, t: float, field: Field) -> None:
         from .imethod import energy, mass
 
-        vals = field.values
-        self.rows.append((t, mass(field), energy(field, self.form),
-                          float(np.sqrt(np.sum(vals * vals) * field.grid.cell_area)),
-                          float(np.max(np.abs(vals)))))
+        phys = field.physical()
+        m = mass(phys)
+        self.rows.append((t, m, energy(field, self.form), math.sqrt(m),
+                          float(np.max(np.abs(phys.data)))))

@@ -21,10 +21,12 @@ from zklab import (
     linear_propagator,
     make_field,
     make_grid,
+    mass,
     sobolev_norm,
     step_etdrk4,
 )
 from zklab.dynamics import max_dispersion, spectral_kernel
+from zklab.ic import random_band_limited
 from zklab.spectral import dealias_mask
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
@@ -91,6 +93,19 @@ class TestEtdrk4:
         e2 = np.linalg.norm(sols[T / 80] - ref)
         # e1/e2 ~ (16 - 1) for a 4th-order method against a 2x-finer reference
         assert 8.0 < e1 / e2 < 32.0
+
+    def test_symmetrized_mass_drift_is_fourth_order(self):
+        """The symmetrized form's mass drift on the criterion-2 data is
+        integrator error: halving dt shrinks it about 16x."""
+        g = make_grid(64, 64, 2 * np.pi, 2 * np.pi)
+        u0 = random_band_limited(g, seed=7, kmax=10.0, envelope=3.0, amplitude=0.3)
+        drift = {}
+        for dt in (1e-3, 5e-4):
+            traj = evolve(u0, 0.5, dt, DispersionForm.SYMMETRIZED,
+                          sample_every=int(round(0.5 / dt)))
+            m0, m1 = mass(traj.frame(0)), mass(traj.frame(-1))
+            drift[dt] = abs(m1 - m0) / m0
+        assert 8.0 < drift[1e-3] / drift[5e-4] < 32.0
 
     def test_zero_time_returns_initial_frame(self):
         u = smooth_data(G)

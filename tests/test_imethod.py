@@ -11,7 +11,9 @@ Closed forms used below (2 pi box, area = 4 pi^2):
 import numpy as np
 import pytest
 
+import zklab.imethod
 from zklab import (
+    DataError,
     IMultiplier,
     MultilinearSymbol,
     UsageError,
@@ -159,12 +161,46 @@ class TestLambdaForms:
             direct = lambda4([u, u, u, u], m4, method="direct")
             assert fast == pytest.approx(direct, rel=1e-10, abs=1e-13)
 
+    @pytest.mark.parametrize("nx,n_block", [(8, 1.0), (8, 2.0), (16, 1.0), (16, 2.0)])
+    def test_fast_matches_direct_on_distinct_inputs(self, nx, n_block):
+        """Repeated and distinct slots, including a field that recurs in
+        non-adjacent slots, give the oracle's value."""
+        g = make_grid(nx, nx, 2 * np.pi, 2 * np.pi)
+        m3, m4 = increment_symbols(IMultiplier(0.8, n_block), g)
+        a, b, c, d = (random_band_limited(g, seed=20 + k, amplitude=0.7) for k in range(4))
+        cases = [(lambda3, m3, slots) for slots in ([a, b, c], [a, b, b], [b, a, b])]
+        cases += [(lambda4, m4, slots) for slots in ([a, b, c, d], [a, a, b, b], [a, b, a, b])]
+        for form, symbol, slots in cases:
+            fast = form(slots, symbol)
+            direct = form(slots, symbol, method="direct")
+            assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+    def test_factored_rejects_out_of_band_input(self):
+        m3, m4 = increment_symbols(IMultiplier(0.8, 1.0), G16)
+        u = random_band_limited(G16, seed=1, amplitude=0.5)
+        outside = u + mode(G16, 7, 0)
+        with pytest.raises(DataError):
+            lambda3([u, u, outside], m3)
+        with pytest.raises(DataError):
+            lambda4([outside, u, u, u], m4)
+
     def test_arity_checks(self):
         u = mode(G16, 1, 0)
         with pytest.raises(UsageError):
             lambda3([u, u, u], MultilinearSymbol(4, lambda x, e: 1.0))
         with pytest.raises(UsageError):
             lambda4([u, u, u, u], self.unit3())
+
+    def test_dispatch_errors(self):
+        """lambda3 and lambda4 share one dispatcher: wrong slot counts and
+        unknown methods fail the same way for both."""
+        u = mode(G16, 1, 0)
+        for form, symbol in zip((lambda3, lambda4),
+                                increment_symbols(IMultiplier(0.8, 1.0), G16)):
+            with pytest.raises(UsageError, match="expected"):
+                form([u, u], symbol)
+            with pytest.raises(UsageError, match="method"):
+                form(u, symbol, method="fast")
 
     def test_symmetrize_preserves_value_on_equal_fields(self):
         g = make_grid(8, 8, 2 * np.pi, 2 * np.pi)
@@ -201,6 +237,28 @@ class TestIncrementIdentity:
         assert report.num_frames == 41
         assert report.residual < 5e-3
         assert report.lhs == pytest.approx(report.rhs, rel=5e-3, abs=1e-12)
+
+    def test_each_frame_checked_and_transformed_once(self, monkeypatch):
+        """Per frame: two band checks (one per form) and 9 FFTs (5 for
+        Lambda3, 4 for Lambda4); the two end-point energies add 6."""
+        u0 = random_band_limited(G, seed=3, kmax=6.0, amplitude=0.5)
+        traj = evolve(u0, 0.02, 1e-3, DispersionForm.ORIGINAL)
+        calls = {"fft": 0, "band": 0}
+
+        def counting(key, fn):
+            def inner(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return inner
+
+        monkeypatch.setattr(np.fft, "fft2", counting("fft", np.fft.fft2))
+        monkeypatch.setattr(np.fft, "ifft2", counting("fft", np.fft.ifft2))
+        monkeypatch.setattr(zklab.imethod, "_require_band",
+                            counting("band", zklab.imethod._require_band))
+        increment_identity_check(traj, IMultiplier(0.9, 4.0))
+        assert traj.num_frames == 21
+        assert calls["fft"] <= 9 * 21 + 6
+        assert calls["band"] == 2 * 21
 
     def test_needs_frames(self):
         u0 = mode(G16, 1, 0)
