@@ -9,8 +9,7 @@ randomized stability probes for the associated function-space estimates.
 from .errors import (ZKLabError, ConfigurationError, UsageError, DataError,
                      ResolutionError, InstabilityError)
 from .spectral import (Grid2D, Field, make_grid, make_field, from_coefficients,
-                       to_spectral, to_physical, derivative, dealias,
-                       dealias_mask, in_band)
+                       derivative, dealias, dealias_mask)
 from .bumps import chi, psi, smoothstep
 from .littlewood_paley import (LPProjector, dyadic_shells, is_dyadic,
                                lp_project, partition_values, shell_weight)
@@ -29,8 +28,7 @@ from .imethod import (IMultiplier, MultilinearSymbol, IncrementReport,
                       growth_exponent, horizon_exponent, i_operator,
                       increment_identity_check, increment_scan,
                       increment_symbols, lambda3, lambda4, lambda_exponent,
-                      mass, modified_energy, regularity_threshold,
-                      symmetrize_symbol)
+                      mass, modified_energy, regularity_threshold)
 from .picard import PicardResult, picard_horizon, picard_iterate
 from .ic import (PRESETS, cosine_mode, gaussian_bump, make_initial,
                  random_band_limited, shell_field, two_pulses)

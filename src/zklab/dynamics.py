@@ -23,8 +23,9 @@ from .errors import InstabilityError, UsageError
 from .forms import DispersionForm
 from .spectral import Field, Grid2D, dealias_mask
 
-__all__ = ["EtdrkTableau", "SolverState", "SpectralKernel", "spectral_kernel", "evolve",
-           "etdrk4_tableau", "linear_propagator", "step_etdrk4", "max_dispersion"]
+__all__ = ["DT_OMEGA_LIMIT", "EtdrkTableau", "SolverState", "SpectralKernel",
+           "spectral_kernel", "evolve", "etdrk4_tableau", "linear_propagator",
+           "step_etdrk4", "max_dispersion"]
 
 # Documented step-size limit: beyond this the nonlinear stage phases are
 # unresolved and the fourth-order error constant is meaningless.
@@ -137,20 +138,21 @@ class SolverState:
                 f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
 
 
-def step_etdrk4(state: SolverState, tableau: EtdrkTableau | None = None) -> SolverState:
-    """One ETDRK4 step; raises InstabilityError on non-finite output."""
+def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
+    """One ETDRK4 step with the tableau of (grid, state.dt, state.form);
+    raises InstabilityError on non-finite output."""
     grid = state.field.grid
     kernel = spectral_kernel(grid, state.form)
-    tab = tableau if tableau is not None else etdrk4_tableau(grid, state.dt, state.form)
     uhat = state.field.coeffs * kernel.mask
     n0 = kernel.nonlinear(uhat)
-    a = tab.e_half * uhat + tab.q * n0
+    a = tableau.e_half * uhat + tableau.q * n0
     na = kernel.nonlinear(a)
-    b = tab.e_half * uhat + tab.q * na
+    b = tableau.e_half * uhat + tableau.q * na
     nb = kernel.nonlinear(b)
-    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
+    c = tableau.e_half * a + tableau.q * (2.0 * nb - n0)
     nc = kernel.nonlinear(c)
-    new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
+    new = (tableau.e_full * uhat + tableau.f1 * n0 + 2.0 * tableau.f2 * (na + nb)
+           + tableau.f3 * nc)
     if not np.all(np.isfinite(new)):
         l2 = float(np.sqrt(grid.area * np.sum(np.abs(state.field.coeffs) ** 2)))
         raise InstabilityError(

@@ -1,5 +1,8 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = ["ZKLabError", "ConfigurationError", "UsageError", "DataError",
+           "ResolutionError", "InstabilityError"]
+
 
 class ZKLabError(Exception):
     """Base class for all package errors."""

@@ -21,7 +21,6 @@ per transform they need; the 2/3 mask is the shared spectral kernel's.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,7 +36,7 @@ from .trajectory import SpaceTimeField
 
 __all__ = ["IMultiplier", "MultilinearSymbol", "IncrementReport", "ScanResult",
            "GwpLedger", "i_operator", "mass", "energy", "modified_energy",
-           "lambda3", "lambda4", "increment_symbols", "symmetrize_symbol",
+           "lambda3", "lambda4", "increment_symbols",
            "increment_identity_check", "increment_scan", "gwp_iteration",
            "lambda_exponent", "horizon_exponent", "growth_exponent",
            "regularity_threshold"]
@@ -135,21 +134,6 @@ class MultilinearSymbol:
 
     def __call__(self, xis, etas):
         return self.fn(xis, etas)
-
-
-def symmetrize_symbol(symbol: MultilinearSymbol) -> MultilinearSymbol:
-    """Average over all argument permutations: [m]_sym."""
-    k = symbol.arity
-    perms = list(itertools.permutations(range(k)))
-
-    def sym_fn(xis, etas):
-        total = None
-        for perm in perms:
-            val = symbol.fn([xis[i] for i in perm], [etas[i] for i in perm])
-            total = val if total is None else total + val
-        return total / len(perms)
-
-    return MultilinearSymbol(k, sym_fn, name=f"sym[{symbol.name}]")
 
 
 def _require_band(field: Field, mask: np.ndarray, what: str) -> np.ndarray:
@@ -257,8 +241,7 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D):
     ``fn`` is what the direct oracle sums.  Pair frequencies at the unpaired
     Nyquist line use the package-wide zeroed-odd-symbol convention.
     """
-    jmax_x = int(grid.nx / 3.0)
-    jmax_y = int(grid.ny / 3.0)
+    jmax_x, jmax_y = grid.band_index
     sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
 
     def pair_gate(xi_sum, eta_sum):
@@ -345,16 +328,19 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
         raise UsageError("increment check needs at least 5 frames")
     m3, m4 = increment_symbols(mult, trajectory.grid)
     msym = mult.symbol(trajectory.grid)
+
+    def i_frame(l: int) -> Field:
+        return Field(trajectory.grid, trajectory.coeffs[l] * msym, "spectral")
+
     vals3 = np.empty(trajectory.num_frames, dtype=np.complex128)
     vals4 = np.empty(trajectory.num_frames, dtype=np.complex128)
     for l in range(trajectory.num_frames):
-        w = Field(trajectory.grid, trajectory.coeffs[l] * msym, "spectral")
+        w = i_frame(l)
         vals3[l] = m3.factored([w, w, w])
         vals4[l] = m4.factored([w, w, w, w])
     integrand = np.real(-1j * vals3 + 1j * vals4)
     rhs = float(definite_integral(integrand, trajectory.dt))
-    lhs = modified_energy(trajectory.frame(-1), mult) \
-        - modified_energy(trajectory.frame(0), mult)
+    lhs = energy(i_frame(-1)) - energy(i_frame(0))
     scale = float(definite_integral(np.abs(integrand), trajectory.dt))
     denom = max(abs(lhs), scale, IncrementReport.FLOOR)
     return IncrementReport(

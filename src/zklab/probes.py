@@ -93,8 +93,8 @@ def _free_trajectory(u0: Field, form: DispersionForm, span: float,
 
 
 def _band_edge(grid: Grid2D) -> float:
-    return min(2.0 * np.pi * int(grid.nx / 3.0) / grid.lx,
-               2.0 * np.pi * int(grid.ny / 3.0) / grid.ly)
+    jmax_x, jmax_y = grid.band_index
+    return min(2.0 * np.pi * jmax_x / grid.lx, 2.0 * np.pi * jmax_y / grid.ly)
 
 
 def _doubled(grid: Grid2D) -> Grid2D:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 
-__all__ = ["Grid2D", "Field", "make_grid", "to_spectral", "to_physical",
+__all__ = ["Grid2D", "Field", "make_grid", "make_field", "from_coefficients",
            "derivative", "dealias", "dealias_mask"]
 
 
@@ -77,6 +77,11 @@ class Grid2D:
     def abs_zeta(self) -> np.ndarray:
         return np.hypot(self.xi_grid, self.eta_grid)
 
+    @cached_property
+    def band_index(self) -> tuple[int, int]:
+        """Largest |j|, |k| the 2/3 rule keeps: int(nx / 3), int(ny / 3)."""
+        return int(self.nx / 3.0), int(self.ny / 3.0)
+
     @property
     def cell_area(self) -> float:
         return (self.lx / self.nx) * (self.ly / self.ny)
@@ -92,10 +97,6 @@ class Grid2D:
         keep[self.nx // 2, :] = False
         keep[:, self.ny // 2] = False
         return keep
-
-    def lattice_radius(self) -> float:
-        """Largest |zeta| on the lattice."""
-        return float(np.hypot(np.abs(self.xi).max(), np.abs(self.eta).max()))
 
     def same_geometry(self, other: "Grid2D") -> bool:
         return (self.nx == other.nx and self.ny == other.ny
@@ -152,30 +153,6 @@ class Field:
     def values(self) -> np.ndarray:
         return self.physical().data
 
-    # -- small algebra (same grid, representation-aligned) -------------------
-
-    def _aligned(self, other: "Field") -> tuple[np.ndarray, np.ndarray, str]:
-        if not self.grid.same_geometry(other.grid):
-            raise UsageError("fields live on different grids")
-        if self.space == other.space:
-            return self.data, other.data, self.space
-        return self.coeffs, other.coeffs, "spectral"
-
-    def __add__(self, other: "Field") -> "Field":
-        a, b, space = self._aligned(other)
-        return Field(self.grid, a + b, space)
-
-    def __sub__(self, other: "Field") -> "Field":
-        a, b, space = self._aligned(other)
-        return Field(self.grid, a - b, space)
-
-    def __mul__(self, scalar: float) -> "Field":
-        if self.space == "physical":
-            return Field(self.grid, self.data * float(scalar), "physical")
-        return Field(self.grid, self.data * float(scalar), "spectral")
-
-    __rmul__ = __mul__
-
     def multiplier(self, symbol: np.ndarray) -> "Field":
         """Apply a Fourier multiplier given as an (nx, ny) symbol array."""
         return Field(self.grid, self.coeffs * symbol, "spectral")
@@ -189,14 +166,6 @@ def make_field(grid: Grid2D, values: np.ndarray) -> Field:
 
 def from_coefficients(grid: Grid2D, coeffs: np.ndarray) -> Field:
     return Field(grid, np.asarray(coeffs, dtype=np.complex128), "spectral")
-
-
-def to_spectral(field: Field) -> Field:
-    return field.spectral()
-
-
-def to_physical(field: Field) -> Field:
-    return field.physical()
 
 
 def derivative(field: Field, ax: int, ay: int) -> Field:
@@ -222,19 +191,11 @@ def dealias_mask(grid: Grid2D) -> np.ndarray:
     """2/3-rule mask: integer modes with |j| > nx/3 or |k| > ny/3 are dropped."""
     jx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
     jy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
-    keep_x = np.abs(jx) <= grid.nx / 3.0
-    keep_y = np.abs(jy) <= grid.ny / 3.0
-    return keep_x[:, None] & keep_y[None, :]
+    jmax_x, jmax_y = grid.band_index
+    return (np.abs(jx) <= jmax_x)[:, None] & (np.abs(jy) <= jmax_y)[None, :]
 
 
 def dealias(field: Field) -> Field:
     """Zero every mode outside the 2/3 band.  Idempotent."""
     g = field.grid
     return Field(g, field.coeffs * dealias_mask(g), "spectral")
-
-
-def in_band(field: Field, mask: np.ndarray, tol: float = 0.0) -> bool:
-    """True if the spectral content outside ``mask`` is at most ``tol`` in l2."""
-    coeffs = field.coeffs
-    outside = np.linalg.norm(coeffs[~mask])
-    return bool(outside <= tol * max(1.0, np.linalg.norm(coeffs)))

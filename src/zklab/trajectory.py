@@ -4,8 +4,7 @@ Temporal Fourier analysis uses the periodic Hann window
 ``w_l = (1 - cos(2 pi l / K)) / 2`` and the discrete frequencies
 ``tau_m = 2 pi m / (K dt)`` in FFT order.  All temporal transforms analyze
 the *windowed* trajectory; complementary modulation projections therefore
-reconstruct the windowed field, and reports quote the window leakage scale
-(two DFT bins, the Hann main-lobe half width).
+reconstruct the windowed field.
 """
 
 from __future__ import annotations
@@ -42,14 +41,6 @@ class SpaceTimeField:
         if not (self.dt > 0.0) and self.coeffs.shape[0] > 1:
             raise DataError("dt must be positive for multi-frame trajectories")
 
-    @classmethod
-    def from_fields(cls, frames: list[Field], t0: float, dt: float) -> "SpaceTimeField":
-        if not frames:
-            raise UsageError("empty frame list")
-        grid = frames[0].grid
-        stack = np.stack([f.coeffs for f in frames])
-        return cls(grid, float(t0), float(dt), stack)
-
     @property
     def num_frames(self) -> int:
         return self.coeffs.shape[0]
@@ -82,10 +73,6 @@ class SpaceTimeField:
     def tau(self) -> np.ndarray:
         """Temporal frequencies 2*pi*fftfreq(K, dt), FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.num_frames, d=self.dt)
-
-    def leakage_scale(self) -> float:
-        """Hann main-lobe half width: two DFT bins."""
-        return 2.0 * (2.0 * np.pi / (self.num_frames * self.dt))
 
     def windowed(self) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.t0, self.dt,

@@ -8,6 +8,8 @@ Closed forms used below (2 pi box, area = 4 pi^2):
                              Lambda_3 = area / 4
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,6 @@ from zklab import (
     mass,
     modified_energy,
     regularity_threshold,
-    symmetrize_symbol,
 )
 from zklab import DispersionForm
 from zklab.ic import random_band_limited
@@ -48,6 +49,17 @@ def mode(g, jx, jy, amp=1.0):
     c = np.zeros((g.nx, g.ny), dtype=complex)
     c[jx, jy] = c[-jx, -jy] = 0.5 * amp
     return from_coefficients(g, c)
+
+
+def symmetrize(symbol):
+    """[m]_sym: the average of the symbol over all argument permutations."""
+    perms = list(itertools.permutations(range(symbol.arity)))
+
+    def sym_fn(xis, etas):
+        return sum(symbol([xis[i] for i in p], [etas[i] for i in p])
+                   for p in perms) / len(perms)
+
+    return MultilinearSymbol(symbol.arity, sym_fn, name=f"sym[{symbol.name}]")
 
 
 class TestMultiplier:
@@ -113,7 +125,7 @@ class TestConservedQuantities:
         assert energy(u, DispersionForm.ORIGINAL) == pytest.approx(2.0 * want, rel=1e-12)
 
     def test_energy_with_cubic_term(self):
-        u = mode(G, 1, 0) + mode(G, 2, 0)
+        u = from_coefficients(G, mode(G, 1, 0).coeffs + mode(G, 2, 0).coeffs)
         assert energy(u) == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
 
     def test_modified_energy_at_s_one(self):
@@ -178,7 +190,7 @@ class TestLambdaForms:
     def test_factored_rejects_out_of_band_input(self):
         m3, m4 = increment_symbols(IMultiplier(0.8, 1.0), G16)
         u = random_band_limited(G16, seed=1, amplitude=0.5)
-        outside = u + mode(G16, 7, 0)
+        outside = from_coefficients(G16, u.coeffs + mode(G16, 7, 0).coeffs)
         with pytest.raises(DataError):
             lambda3([u, u, outside], m3)
         with pytest.raises(DataError):
@@ -207,17 +219,8 @@ class TestLambdaForms:
         m3, _ = increment_symbols(IMultiplier(0.8, 1.0), g)
         u = random_band_limited(g, seed=9, amplitude=0.5)
         plain = lambda3([u, u, u], m3, method="direct")
-        sym = lambda3([u, u, u], symmetrize_symbol(m3), method="direct")
+        sym = lambda3([u, u, u], symmetrize(m3), method="direct")
         assert sym == pytest.approx(plain, rel=1e-11, abs=1e-14)
-
-    def test_symbol_pointwise_symmetry(self):
-        m3, _ = increment_symbols(IMultiplier(0.8, 1.0), G16)
-        sym = symmetrize_symbol(m3)
-        xis = [np.array([1.0]), np.array([2.0]), np.array([-3.0])]
-        etas = [np.array([0.5]), np.array([-1.0]), np.array([0.5])]
-        a = sym(xis, etas)
-        b = sym([xis[2], xis[0], xis[1]], [etas[2], etas[0], etas[1]])
-        np.testing.assert_allclose(a, b, rtol=1e-13)
 
     def test_huge_n_kills_lambda3(self):
         """With N beyond the band, I is the identity and M3 vanishes on the
@@ -259,6 +262,25 @@ class TestIncrementIdentity:
         assert traj.num_frames == 21
         assert calls["fft"] <= 9 * 21 + 6
         assert calls["band"] == 2 * 21
+
+    def test_symbol_built_at_most_twice(self, monkeypatch):
+        """I's symbol is built once for the Lambda forms and once for the
+        frames and both end-point energies, which still equal E(I u)."""
+        u0 = random_band_limited(G, seed=3, kmax=6.0, amplitude=0.5)
+        traj = evolve(u0, 0.02, 1e-3, DispersionForm.ORIGINAL)
+        mult = IMultiplier(0.9, 4.0)
+        lhs = modified_energy(traj.frame(-1), mult) - modified_energy(traj.frame(0), mult)
+        builds = []
+        symbol = IMultiplier.symbol
+
+        def counting(self, grid):
+            builds.append(grid)
+            return symbol(self, grid)
+
+        monkeypatch.setattr(IMultiplier, "symbol", counting)
+        report = increment_identity_check(traj, mult)
+        assert len(builds) <= 2
+        assert report.lhs == lhs
 
     def test_needs_frames(self):
         u0 = mode(G16, 1, 0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import (
     LPProjector,
     UsageError,
+    chi,
     dyadic_shells,
     is_dyadic,
     lp_project,
@@ -34,16 +36,33 @@ def test_partition_of_unity_pointwise():
 def test_partition_truncated_equals_chi():
     # telescoping: P_0 + sum_{N <= M} P_N = chi(|zeta| / M) exactly
     g = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
-    from zklab import chi
     total = partition_values(g, top=4.0)
-    assert np.allclose(total, chi(g.abs_zeta / 4.0), atol=0.0)
+    np.testing.assert_array_equal(total, chi(g.abs_zeta / 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+       lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+       axis=st.sampled_from([None, "x", "y"]), top=st.integers(0, 7).map(lambda k: 2.0 ** k))
+def test_partition_is_exact_on_random_grids(nx, ny, lx, ly, axis, top):
+    """The full partition is exactly 1 and the truncated one exactly
+    chi(r / M), with r = |zeta|, |xi| or |eta| as the axis selects."""
+    g = make_grid(nx, ny, lx, ly)
+    r = {None: g.abs_zeta, "x": np.abs(g.xi_grid), "y": np.abs(g.eta_grid)}[axis]
+    np.testing.assert_array_equal(partition_values(g, axis=axis), 1.0)
+    np.testing.assert_array_equal(partition_values(g, top=top, axis=axis), chi(r / top))
+
+
+def lattice_radius(g):
+    """Largest |zeta| on the lattice."""
+    return float(np.hypot(np.abs(g.xi).max(), np.abs(g.eta).max()))
 
 
 def test_shells_cover_lattice():
     g = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
     shells = dyadic_shells(g)
     assert shells[0] == 1.0
-    assert shells[-1] >= g.lattice_radius()
+    assert shells[-1] >= lattice_radius(g)
 
 
 def test_projection_telescopes_to_identity():

@@ -204,7 +204,8 @@ class TestPVariation:
 
 class TestTwisted:
     def test_free_solution_gives_zero(self):
-        u0 = single_mode(G, 2, 1) + single_mode(G, 1, 3, amp=0.3)
+        u0 = from_coefficients(G, single_mode(G, 2, 1).coeffs
+                               + single_mode(G, 1, 3, amp=0.3).coeffs)
         for form in (DispersionForm.ORIGINAL, DispersionForm.SYMMETRIZED):
             traj = free_trajectory(u0, form, 1.0, 21)
             assert twisted_variation(traj, 2.0, form) < 1e-12

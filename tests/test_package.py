@@ -1,0 +1,42 @@
+"""The public surface: what ``zklab`` re-exports agrees with each module's ``__all__``."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import zklab
+
+
+def reexports():
+    """(module, name) for every ``from .module import name`` in zklab/__init__.py."""
+    tree = ast.parse(inspect.getsource(zklab))
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_every_reexport_is_in_its_module_all():
+    missing = [f"{mod}.{name}" for mod, name in reexports()
+               if name not in getattr(importlib.import_module(f"zklab.{mod}"), "__all__", ())]
+    assert missing == []
+
+
+def test_every_all_entry_exists():
+    for info in pkgutil.iter_modules(zklab.__path__):
+        mod = importlib.import_module(f"zklab.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"zklab.{info.name}.__all__ lists {name!r}"
+
+
+@pytest.mark.parametrize("owner, name", [
+    (zklab, "in_band"), (zklab, "to_spectral"), (zklab, "to_physical"),
+    (zklab, "symmetrize_symbol"), (zklab.Grid2D, "lattice_radius"),
+    (zklab.SpaceTimeField, "from_fields"), (zklab.SpaceTimeField, "leakage_scale"),
+    (zklab.Field, "__add__"), (zklab.Field, "__sub__"), (zklab.Field, "__mul__"),
+    (zklab.Field, "__rmul__"),
+])
+def test_removed_names_stay_gone(owner, name):
+    assert not hasattr(owner, name)
