@@ -95,7 +95,7 @@ def _initial(config: RunConfig, grid: Grid2D):
 
 
 def _finish(subcommand: str, config: RunConfig, outdir: str, started: float,
-            outputs: list[str], extra: dict | None = None) -> None:
+            outputs: list[str], extra: dict) -> None:
     echo = os.path.join(outdir, "config.json")
     write_json(echo, config.to_dict())
     manifest = build_manifest(subcommand, config.to_dict(),
@@ -105,8 +105,7 @@ def _finish(subcommand: str, config: RunConfig, outdir: str, started: float,
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _run_simulate(config: RunConfig, outdir: str) -> None:
-    started = time.monotonic()
+def _run_simulate(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     grid = _grid(config)
     u0 = _initial(config, grid)
     form = DispersionForm.parse(config.form)
@@ -128,12 +127,10 @@ def _run_simulate(config: RunConfig, outdir: str) -> None:
             path = os.path.join(outdir, f"frame_{idx:05d}.csv")
             write_frame_csv(path, traj.frame(idx))
             outputs.append(path)
-    _finish("simulate", config, outdir, started, outputs,
-            {"num_frames": traj.num_frames})
+    return outputs, {"num_frames": traj.num_frames}
 
 
-def _run_picard(config: RunConfig, outdir: str) -> None:
-    started = time.monotonic()
+def _run_picard(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     grid = _grid(config)
     u0 = _initial(config, grid)
     horizon = config.horizon or picard_horizon(besov_norm_2_1(u0, 0.5), config.c0)
@@ -144,24 +141,20 @@ def _run_picard(config: RunConfig, outdir: str) -> None:
             for n in range(len(result.diffs))]
     out = os.path.join(outdir, "picard.csv")
     write_csv(out, ["iteration", "difference (Y-proxy norm)", "ratio"], rows)
-    _finish("picard", config, outdir, started, [out],
-            {"horizon": horizon, "contraction_failed": result.contraction_failed})
+    return [out], {"horizon": horizon, "contraction_failed": result.contraction_failed}
 
 
-def _run_scan(config: RunConfig, outdir: str) -> None:
-    started = time.monotonic()
+def _run_scan(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     grid = _grid(config)
     u0 = _initial(config, grid)
     result = increment_scan(u0, config.s, config.n_list, config.delta, config.dt)
     out = os.path.join(outdir, "imethod_scan.csv")
     write_csv(out, ["N (dyadic block)", "abs_increment (modified energy)"],
               result.rows)
-    _finish("imethod-scan", config, outdir, started, [out],
-            {"slope": result.slope, "caveat": result.caveat})
+    return [out], {"slope": result.slope, "caveat": result.caveat}
 
 
-def _run_gwp(config: RunConfig, outdir: str) -> None:
-    started = time.monotonic()
+def _run_gwp(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     grid = _grid(config)
     u0 = _initial(config, grid)
     ledger = gwp_iteration(u0, config.s, config.t_target, delta=config.delta,
@@ -170,7 +163,7 @@ def _run_gwp(config: RunConfig, outdir: str) -> None:
                            max_windows=config.max_windows)
     out = os.path.join(outdir, "gwp_ledger.json")
     write_json(out, dataclasses.asdict(ledger))
-    _finish("gwp", config, outdir, started, [out], {"status": ledger.status})
+    return [out], {"status": ledger.status}
 
 
 def _window(c: RunConfig) -> dict:
@@ -189,8 +182,7 @@ _PROBES = {
 }
 
 
-def _run_probe(config: RunConfig, outdir: str) -> None:
-    started = time.monotonic()
+def _run_probe(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     grid = _grid(config)
     kind = config.estimate
     out = os.path.join(outdir, "probe.csv")
@@ -206,8 +198,7 @@ def _run_probe(config: RunConfig, outdir: str) -> None:
         report = _PROBES[kind](config, grid)
         row = report.to_row()
         write_csv(out, list(row.keys()), [list(row.values())])
-    _finish("probe", config, outdir, started, [out],
-            {"drift": report.drift, "estimate": report.estimate})
+    return [out], {"drift": report.drift, "estimate": report.estimate}
 
 
 # norm name -> NormReport of (name, field, config)
@@ -222,8 +213,7 @@ _NORMS = {
 }
 
 
-def _run_norms(config: RunConfig, outdir: str) -> None:
-    started = time.monotonic()
+def _run_norms(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     if not config.input:
         raise ConfigurationError("config key 'input': a frame file is required")
     field = read_frame_csv(config.input)
@@ -235,10 +225,11 @@ def _run_norms(config: RunConfig, outdir: str) -> None:
     row = report.to_row()
     write_csv(out, list(row.keys()), [list(row.values())])
     print(f"{report.name} = {report.value:.17g}")
-    _finish("norms", config, outdir, started, [out], {"value": report.value})
+    return [out], {"value": report.value}
 
 
-# subcommand -> (runner, help line, flag specs after the common ones)
+# subcommand -> (runner, help line, flag specs after the common ones); a runner
+# writes its files and returns (output paths, manifest extras) for _finish
 _SUBCOMMANDS = {
     "simulate": (_run_simulate, "time-step an initial condition",
                  ("T=t_final", "dt", "sample-every", "dump-frames")),
@@ -258,11 +249,13 @@ _SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    started = time.monotonic()
     try:
         config = _config_from_args(args)
         outdir = _output_dir(config)
         os.makedirs(outdir, exist_ok=True)
-        _SUBCOMMANDS[args.subcommand][0](config, outdir)
+        outputs, extra = _SUBCOMMANDS[args.subcommand][0](config, outdir)
+        _finish(args.subcommand, config, outdir, started, outputs, extra)
     except (ConfigurationError, UsageError, ResolutionError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

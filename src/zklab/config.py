@@ -41,7 +41,7 @@ class RunConfig:
     sigma: float = 1.0
     jx: int = 1
     jy: int = 0
-    kmax: float = 0.0    # 0 means: dealias band edge
+    kmax: float = 0.0    # 0 means: the grid's band_radius
     envelope: float = 0.0
     norm: str = ""
     norm_s: float = 0.0
@@ -173,5 +173,6 @@ def _validate(config: RunConfig, explicit: set) -> None:
         raise ConfigurationError("config key 'sample_every': must be >= 1")
     if config.samples < 1:
         raise ConfigurationError("config key 'samples': must be >= 1")
-    if not config.n_list:
-        raise ConfigurationError("config key 'n_list': must not be empty")
+    for key in sorted(_LIST_KEYS):
+        if not getattr(config, key):
+            raise ConfigurationError(f"config key {key!r}: must not be empty")

@@ -50,6 +50,10 @@ class SpectralKernel:
         vals = np.fft.ifft2(coeffs, norm="forward").real
         return self.neg_dmask * np.fft.fft2(vals * vals, norm="forward")
 
+    def phase(self, t) -> np.ndarray:
+        """exp(i t omega), shape t.shape + (nx, ny): the package's one free phase."""
+        return np.exp(1j * np.asarray(t, dtype=float)[..., None, None] * self.omega)
+
 
 @lru_cache(maxsize=8)
 def spectral_kernel(grid: Grid2D, form: DispersionForm) -> SpectralKernel:
@@ -69,8 +73,7 @@ def max_dispersion(grid, form: DispersionForm) -> float:
 
 def linear_propagator(field: Field, t: float, form: DispersionForm) -> Field:
     """Exact free evolution exp(i t omega(zeta)) on the lattice."""
-    phase = np.exp(1j * t * spectral_kernel(field.grid, form).omega)
-    return field.multiplier(phase)
+    return field.multiplier(spectral_kernel(field.grid, form).phase(t))
 
 
 def _phi(j: int, z: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ Original form:     u_t + u_xxx + u_xyy + (u^2)_x = 0,
 Symmetrized form:  u_t + u_xxx + u_yyy + (u^2)_x + (u^2)_y = 0,
                    free propagator multiplier exp(i t (xi^3 + eta^3)).
 
-The dispersion polynomial is zeroed on the unpaired Nyquist lines (same rule
-as odd-order derivatives) so that all multipliers preserve real fields.
+Both lattice symbols are odd and follow the Nyquist rule stated in ``spectral``
+(omega reads ``Grid2D.nyquist_mask``, the nonlinear derivative ``xi_odd``).
 """
 
 from __future__ import annotations
@@ -35,12 +35,8 @@ class DispersionForm(Enum):
 
     def omega(self, grid: Grid2D) -> np.ndarray:
         """Dispersion polynomial on the lattice, Nyquist lines zeroed."""
-        xi, eta = grid.xi_grid, grid.eta_grid
-        if self is DispersionForm.ORIGINAL:
-            w = xi ** 3 + xi * eta ** 2
-        else:
-            w = xi ** 3 + eta ** 3
-        return np.where(grid.nyquist_mask, w, 0.0)
+        return np.where(grid.nyquist_mask,
+                        self.omega_scalar(grid.xi_grid, grid.eta_grid), 0.0)
 
     def omega_scalar(self, xi, eta):
         """Dispersion polynomial at arbitrary (xi, eta) points (no masking)."""
@@ -52,8 +48,7 @@ class DispersionForm(Enum):
 
     def nonlinear_derivative(self, grid: Grid2D) -> np.ndarray:
         """Multiplier of the derivative acting on u^2 (i xi, or i (xi + eta))."""
-        xi = np.where(np.arange(grid.nx) == grid.nx // 2, 0.0, grid.xi)
-        eta = np.where(np.arange(grid.ny) == grid.ny // 2, 0.0, grid.eta)
+        xi, eta = grid.xi_odd, grid.eta_odd
         if self is DispersionForm.ORIGINAL:
             return 1j * (xi[:, None] + 0.0 * eta[None, :])
         return 1j * (xi[:, None] + eta[None, :])

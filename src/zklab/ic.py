@@ -60,7 +60,7 @@ def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
                         envelope: float | None = None, amplitude: float = 1.0,
                         norm: str | None = None, norm_s: float = 0.0) -> Field:
     """Smooth random field: white noise shaped by a Gaussian spectral envelope
-    and truncated at radius kmax (default: the 2/3 dealias edge), zero mean.
+    and truncated at radius kmax (default ``grid.band_radius``), zero mean.
 
     ``norm='h1'``-style requests rescale so sobolev_norm(u, norm_s) equals
     ``amplitude``; with norm=None, amplitude multiplies the raw unit-variance
@@ -70,9 +70,7 @@ def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
     noise = rng.standard_normal((grid.nx, grid.ny))
     coeffs = np.fft.fft2(noise, norm="forward")
     r = grid.abs_zeta
-    if kmax is None:
-        kmax = 2.0 * np.pi * int(grid.nx / 3.0) / max(grid.lx, grid.ly)
-    keep = r <= kmax
+    keep = r <= (grid.band_radius if kmax is None else kmax)
     if envelope is not None:
         coeffs = coeffs * np.exp(-(r / envelope) ** 2 / 2.0)
     coeffs = np.where(keep, coeffs, 0.0)

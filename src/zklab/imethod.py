@@ -274,8 +274,7 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D):
     # frequency equals -zeta_1, already in band) but discards products that
     # would otherwise wrap around the lattice
     m_band = msym * mask
-    xi_pair = np.where(np.arange(grid.nx) == grid.nx // 2, 0.0, grid.xi)
-    m4_pair = xi_pair[:, None] * m_band
+    m4_pair = grid.xi_odd[:, None] * m_band
 
     def to_phys(coeffs):
         return np.fft.ifft2(coeffs, norm="forward")

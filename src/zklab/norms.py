@@ -167,8 +167,7 @@ def twisted_variation(stf: SpaceTimeField, p: float, form: DispersionForm) -> fl
     Free solutions give exactly 0.  Coefficient vectors are scaled so that
     the l2 distance matches the spatial L2 norm.
     """
-    omega = spectral_kernel(stf.grid, form).omega
-    phases = np.exp(-1j * stf.times[:, None, None] * omega[None, :, :])
+    phases = spectral_kernel(stf.grid, form).phase(-stf.times)
     twisted = stf.coeffs * phases * np.sqrt(stf.grid.area)
     return pvariation_norm(twisted.reshape(stf.num_frames, -1), p)
 

@@ -96,7 +96,7 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
     times = dt * np.arange(k)
     cut = chi(times / t_horizon)[:, None, None]
 
-    phase = np.exp(1j * times[:, None, None] * kernel.omega)
+    phase = kernel.phase(times)
     free = phase * np.where(kernel.mask, u0.spectral().coeffs, 0.0)
 
     def apply_map(coeffs):

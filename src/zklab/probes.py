@@ -85,16 +85,9 @@ def _frame_step(span: float, frames: int) -> float:
 
 def _free_trajectory(u0: Field, form: DispersionForm, span: float,
                      frames: int) -> SpaceTimeField:
-    grid = u0.grid
     dt = _frame_step(span, frames)
-    t = dt * np.arange(frames)
-    phase = np.exp(1j * np.multiply.outer(t, spectral_kernel(grid, form).omega))
-    return SpaceTimeField(grid, 0.0, dt, phase * u0.spectral().coeffs[None])
-
-
-def _band_edge(grid: Grid2D) -> float:
-    jmax_x, jmax_y = grid.band_index
-    return min(2.0 * np.pi * jmax_x / grid.lx, 2.0 * np.pi * jmax_y / grid.ly)
+    phase = spectral_kernel(u0.grid, form).phase(dt * np.arange(frames))
+    return SpaceTimeField(u0.grid, 0.0, dt, phase * u0.spectral().coeffs[None])
 
 
 def _doubled(grid: Grid2D) -> Grid2D:
@@ -116,7 +109,7 @@ def _free_wave_report(estimate: str, form: DispersionForm, weight, q: float, r: 
                       params: dict) -> ProbeReport:
     """Free-wave norms of unit-L2 band-limited data against ||u0||_2 = 1,
     drifted against the same ensemble on the doubled grid."""
-    kmax = _band_edge(grid)
+    kmax = grid.band_radius
 
     def one(g: Grid2D, i: int) -> float:
         u0 = random_band_limited(g, seed + i, kmax=kmax, norm="sobolev",
@@ -170,7 +163,7 @@ def _companion_shells(n1: float, n2: float, grid: Grid2D):
     precondition intact.  When the doubled outer shell would poke past the
     dealias band the rung below is used instead.
     """
-    if np.sqrt(2.0) * 2.0 * max(n1, n2) <= _band_edge(grid):
+    if np.sqrt(2.0) * 2.0 * max(n1, n2) <= grid.band_radius:
         return 2.0 * n1, 2.0 * n2
     return 0.5 * n1, 0.5 * n2
 
@@ -209,12 +202,8 @@ def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
 # -- symmetrized-frame estimates --------------------------------------------------
 
 def _mode_list(field: Field):
-    grid = field.grid
-    coeffs = field.coeffs
-    jx = np.fft.fftfreq(grid.nx, 1.0 / grid.nx).astype(np.int64)
-    jy = np.fft.fftfreq(grid.ny, 1.0 / grid.ny).astype(np.int64)
-    ii, kk = np.nonzero(coeffs)
-    return jx[ii], jy[kk], coeffs[ii, kk]
+    ii, kk = np.nonzero(field.coeffs)
+    return field.grid.jx[ii], field.grid.jy[kk], field.coeffs[ii, kk]
 
 
 def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
@@ -350,6 +339,8 @@ def cutoff_probe(t_values, l_values, span: float | None = None,
     """
     t_values = sorted(float(v) for v in t_values)
     l_values = sorted(float(v) for v in l_values)
+    if not t_values or not l_values:
+        raise UsageError("the T and L grids must not be empty")
     if span is None:
         span = 4.0 * max(t_values)
     times = np.linspace(0.0, span, num_nodes)

@@ -12,6 +12,10 @@ Conventions fixed here and relied on everywhere else:
   ``ifft2`` in the package passes it instead of scaling by hand.
 * Quadrature: ``integral(u) = lx * ly * uhat[0, 0]`` and Parseval reads
   ``integral(|u|^2) = lx * ly * sum |uhat|^2``.
+* Nyquist rule: the index -n/2 has no partner +n/2, so every odd-order
+  symbol (odd derivatives, omega, the nonlinear derivative) is zeroed there
+  to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
+  ``eta_odd`` apply it; every symbol in the package reads them.
 """
 
 from __future__ import annotations
@@ -66,6 +70,24 @@ class Grid2D:
         return 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.ly / self.ny)
 
     @cached_property
+    def jx(self) -> np.ndarray:
+        """Integer modes j in FFT order, {0, ..., nx/2 - 1, -nx/2, ..., -1}."""
+        return np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(np.int64)
+
+    @cached_property
+    def jy(self) -> np.ndarray:
+        return np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(np.int64)
+
+    @cached_property
+    def xi_odd(self) -> np.ndarray:
+        """xi zeroed on the Nyquist row (column 0 of nyquist_mask is the x rule)."""
+        return np.where(self.nyquist_mask[:, 0], self.xi, 0.0)
+
+    @cached_property
+    def eta_odd(self) -> np.ndarray:
+        return np.where(self.nyquist_mask[0], self.eta, 0.0)
+
+    @cached_property
     def xi_grid(self) -> np.ndarray:
         return self.xi[:, None] + 0.0 * self.eta[None, :]
 
@@ -82,6 +104,12 @@ class Grid2D:
         """Largest |j|, |k| the 2/3 rule keeps: int(nx / 3), int(ny / 3)."""
         return int(self.nx / 3.0), int(self.ny / 3.0)
 
+    @cached_property
+    def band_radius(self) -> float:
+        """Radius of the largest disc inside the 2/3 band."""
+        jmax_x, jmax_y = self.band_index
+        return min(2.0 * np.pi * jmax_x / self.lx, 2.0 * np.pi * jmax_y / self.ly)
+
     @property
     def cell_area(self) -> float:
         return (self.lx / self.nx) * (self.ly / self.ny)
@@ -92,11 +120,9 @@ class Grid2D:
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
-        """False on the unpaired Nyquist row/column, True elsewhere."""
-        keep = np.ones((self.nx, self.ny), dtype=bool)
-        keep[self.nx // 2, :] = False
-        keep[:, self.ny // 2] = False
-        return keep
+        """False on the unpaired Nyquist row j = -nx/2 and column k = -ny/2."""
+        return ((self.jx != -(self.nx // 2))[:, None]
+                & (self.jy != -(self.ny // 2))[None, :])
 
     def same_geometry(self, other: "Grid2D") -> bool:
         return (self.nx == other.nx and self.ny == other.ny
@@ -171,31 +197,22 @@ def from_coefficients(grid: Grid2D, coeffs: np.ndarray) -> Field:
 def derivative(field: Field, ax: int, ay: int) -> Field:
     """Partial derivative d^ax/dx^ax d^ay/dy^ay via (i xi)^ax (i eta)^ay.
 
-    Odd orders zero the unpaired Nyquist line so that real fields stay real.
+    Odd orders use the Nyquist rule (module docstring), so real fields stay real.
     """
     if ax < 0 or ay < 0:
         raise UsageError("derivative orders must be non-negative integers")
     g = field.grid
-    mult_x = (1j * g.xi) ** ax
-    mult_y = (1j * g.eta) ** ay
-    if ax % 2 == 1:
-        mult_x = mult_x.copy()
-        mult_x[g.nx // 2] = 0.0
-    if ay % 2 == 1:
-        mult_y = mult_y.copy()
-        mult_y[g.ny // 2] = 0.0
+    mult_x = (1j * (g.xi_odd if ax % 2 else g.xi)) ** ax
+    mult_y = (1j * (g.eta_odd if ay % 2 else g.eta)) ** ay
     return Field(g, field.coeffs * mult_x[:, None] * mult_y[None, :], "spectral")
 
 
 def dealias_mask(grid: Grid2D) -> np.ndarray:
     """2/3-rule mask: integer modes with |j| > nx/3 or |k| > ny/3 are dropped."""
-    jx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
-    jy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
     jmax_x, jmax_y = grid.band_index
-    return (np.abs(jx) <= jmax_x)[:, None] & (np.abs(jy) <= jmax_y)[None, :]
+    return (np.abs(grid.jx) <= jmax_x)[:, None] & (np.abs(grid.jy) <= jmax_y)[None, :]
 
 
 def dealias(field: Field) -> Field:
     """Zero every mode outside the 2/3 band.  Idempotent."""
-    g = field.grid
-    return Field(g, field.coeffs * dealias_mask(g), "spectral")
+    return field.multiplier(dealias_mask(field.grid))

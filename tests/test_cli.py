@@ -82,6 +82,12 @@ class TestExitCodes:
                    "--dt", "0.001")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, key", [("--T-grid", "t_grid"), ("--L-grid", "l_grid")])
+    def test_empty_cutoff_grid_is_2(self, tmp_path, capsys, flag, key):
+        code = run(tmp_path, "probe", "--estimate", "cutoff", flag, ",")
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_instability_is_3(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(tmp_path, "simulate", "--nx", "16", "--preset",

@@ -101,6 +101,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             load_config(overrides={"n_list": ""})
 
+    @pytest.mark.parametrize("key", ["n_list", "t_grid", "l_grid"])
+    def test_every_list_key_must_be_non_empty(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(overrides={key: ","})
+
     def test_to_dict_round_trip(self, tmp_path):
         cfg = load_config(overrides={"nx": 32, "n_list": "4,8"})
         path = tmp_path / "echo.json"

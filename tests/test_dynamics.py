@@ -1,11 +1,11 @@
 """Time-stepping tests: free propagator phases, ETDRK4 order, failure modes,
-and the shared spectral kernel."""
+the shared spectral kernel, and Hermitian symmetry on random grids."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zklab.dynamics
 import zklab.spectral
@@ -15,6 +15,7 @@ from zklab import (
     InstabilityError,
     SolverState,
     UsageError,
+    derivative,
     etdrk4_tableau,
     evolve,
     from_coefficients,
@@ -65,6 +66,21 @@ class TestFreePropagator:
         u = smooth_data(G)
         v = linear_propagator(u, 2.5, DispersionForm.ORIGINAL)
         assert sobolev_norm(v, 0.0) == pytest.approx(sobolev_norm(u, 0.0), rel=1e-13)
+
+    @pytest.mark.parametrize("form", list(DispersionForm))
+    def test_phase_stacks_the_propagator_multipliers(self, form):
+        """phase(t) has one exp(i t omega) per time, linear_propagator applies
+        exactly that multiplier, and phase(-t) is the conjugate."""
+        kernel = spectral_kernel(G, form)
+        u = smooth_data(G)
+        t = np.array([0.0, 0.3, -1.1])
+        stack = kernel.phase(t)
+        assert stack.shape == (3, G.nx, G.ny)
+        np.testing.assert_array_equal(stack[0], 1.0)
+        for tk, multiplier in zip(t, stack):
+            np.testing.assert_array_equal(linear_propagator(u, tk, form).coeffs,
+                                          u.coeffs * multiplier)
+        np.testing.assert_allclose(kernel.phase(-t), np.conj(stack), rtol=0.0, atol=1e-15)
 
     def test_real_output(self):
         v = linear_propagator(smooth_data(G), 0.37, DispersionForm.ORIGINAL)
@@ -253,3 +269,43 @@ class TestSpectralKernel:
         assert max_dispersion(G, form) == want
         assert spectral_kernel(G, form) is spectral_kernel(
             make_grid(32, 32, 2 * np.pi, 2 * np.pi), form)
+
+
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """max |c(-zeta) - conj c(zeta)| over the lattice, relative to max |c|."""
+    mirror = np.roll(np.flip(coeffs, axis=(-2, -1)), 1, axis=(-2, -1))
+    return float(np.abs(mirror - np.conj(coeffs)).max() / np.abs(coeffs).max())
+
+
+class TestHermitianSymmetry:
+    """Real fields stay real: every lattice operator keeps c(-zeta) = conj c(zeta)
+    to round-off, on the unpaired Nyquist row and column as well, where only
+    the odd-symbol Nyquist rule keeps the odd multipliers Hermitian."""
+
+    TOL = 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0), t=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(DispersionForm)))
+    @example(nx=64, ny=8, lx=1.0, ly=1.0, t=1.0, seed=0, form=DispersionForm.ORIGINAL)
+    def test_operators_keep_hermitian_coefficients(self, nx, ny, lx, ly, t, seed, form):
+        g = make_grid(nx, ny, lx, ly)
+        u = make_field(g, np.random.default_rng(seed).standard_normal((nx, ny)))
+        assert hermitian_defect(u.coeffs) <= self.TOL
+        for ax in range(4):
+            for ay in range(4):
+                assert hermitian_defect(derivative(u, ax, ay).coeffs) <= self.TOL, (ax, ay)
+        # numpy's vectorised cube may round xi^3 and (-xi)^3 one ulp apart, so
+        # omega is odd only to one ulp and exp(i t omega) to |t| ulp(max|omega|)
+        kernel = spectral_kernel(g, form)
+        phase_tol = self.TOL + 4.0 * np.finfo(float).eps * abs(t) * np.abs(kernel.omega).max()
+        assert hermitian_defect(linear_propagator(u, t, form).coeffs) <= phase_tol
+        assert hermitian_defect(kernel.nonlinear(u.coeffs)) <= self.TOL
+        # a small step and amplitude keep three steps far from blow-up on any box
+        dt = min(1e-3, 0.5 / max_dispersion(g, form))
+        state = SolverState(from_coefficients(g, 0.1 * u.coeffs), 0.0, dt, form)
+        tableau = etdrk4_tableau(g, dt, form)
+        for _ in range(3):
+            state = step_etdrk4(state, tableau)
+        assert hermitian_defect(state.field.coeffs) <= self.TOL

@@ -96,6 +96,17 @@ class TestRandomBandLimited:
         u = random_band_limited(G, seed=2)
         np.testing.assert_array_equal(u.coeffs, u.coeffs * dealias_mask(G))
 
+    @pytest.mark.parametrize("nx, ny", [(64, 32), (32, 64)])
+    def test_default_radius_is_the_disc_inside_the_band(self, nx, ny):
+        """The default cut is |zeta| <= 10 on both 64 x 32 and 32 x 64 (the
+        2/3 band keeps |j| <= 21 on the long axis but only |k| <= 10 on the
+        short one), so no kept mode lies outside the inscribed disc."""
+        g = make_grid(nx, ny, 2 * np.pi, 2 * np.pi)
+        u = random_band_limited(g, seed=3)
+        radius = g.abs_zeta[u.coeffs != 0]
+        assert radius.max() <= 10.0
+        assert radius.max() > 9.0
+
     def test_seed_determinism(self):
         a = random_band_limited(G, seed=9, kmax=5.0)
         b = random_band_limited(G, seed=9, kmax=5.0)

@@ -119,6 +119,11 @@ class TestCutoffDecomposition:
         with pytest.raises(ResolutionError):
             cutoff_decompose(1.0, 1e5, self.TIMES)  # dt too coarse for L
 
+    @pytest.mark.parametrize("t_values, l_values", [((), (4.0,)), ((1.0,), ())])
+    def test_empty_grid_is_a_usage_error(self, t_values, l_values):
+        with pytest.raises(UsageError):
+            cutoff_probe(t_values, l_values, num_nodes=1024)
+
     def test_probe_rows_and_drift(self):
         rows, rep = cutoff_probe((0.5, 1.0), (4.0, 8.0), num_nodes=1024)
         assert len(rows) == 4

@@ -62,6 +62,30 @@ class TestGrid:
         assert grid().same_geometry(grid())
         assert not grid().same_geometry(grid(32, 16))
 
+    @pytest.mark.parametrize("nx, ny, lx, ly", [(8, 8, 2 * np.pi, 2 * np.pi),
+                                                (16, 64, 2 * np.pi, 3.0),
+                                                (128, 32, 0.5, 7.0)])
+    def test_lattice_members(self, nx, ny, lx, ly):
+        """Mode indices, odd-order wavenumbers, Nyquist mask and band radius
+        against hand-built lattices."""
+        g = grid(nx, ny, lx, ly)
+        jx = np.concatenate([np.arange(nx // 2), np.arange(-nx // 2, 0)])
+        jy = np.concatenate([np.arange(ny // 2), np.arange(-ny // 2, 0)])
+        np.testing.assert_array_equal(g.jx, jx)
+        np.testing.assert_array_equal(g.jy, jy)
+        assert g.jx.dtype.kind == "i"
+        xi_odd, eta_odd = g.xi.copy(), g.eta.copy()
+        xi_odd[nx // 2] = eta_odd[ny // 2] = 0.0
+        np.testing.assert_array_equal(g.xi_odd, xi_odd)
+        np.testing.assert_array_equal(g.eta_odd, eta_odd)
+        keep = np.ones((nx, ny), dtype=bool)
+        keep[nx // 2, :] = keep[:, ny // 2] = False
+        np.testing.assert_array_equal(g.nyquist_mask, keep)
+        edges = (2 * np.pi * int(nx / 3) / lx, 2 * np.pi * int(ny / 3) / ly)
+        assert g.band_radius == pytest.approx(min(edges), rel=1e-15)
+        inside = g.abs_zeta <= g.band_radius
+        assert np.all(dealias_mask(g)[inside])
+
 
 class TestFieldConversions:
     def test_cosine_coefficients(self):
