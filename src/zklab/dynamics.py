@@ -9,13 +9,18 @@ projection; both, with omega, are built once per (grid, form) in a shared
 SpectralKernel.  The linear part is exact (phase multipliers); the classical
 ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
+
+The stepper runs on the half spectrum (``spectral`` module docstring), its
+nonlinear term being irfft2 -> square -> rfft2 -> multiply; ``evolve`` builds
+full-spectrum frames only where it samples, ``step_etdrk4`` and
+``SpectralKernel.nonlinear`` convert once per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,18 +42,24 @@ _PHI_SERIES_TERMS = 18
 
 @dataclass(frozen=True, eq=False)
 class SpectralKernel:
-    """Read-only omega, 2/3 mask, -D * mask and band max |omega| of a (grid, form)."""
+    """Read-only omega, 2/3 mask, -D * mask (also on the half spectrum) and band max |omega|."""
 
     grid: Grid2D
     omega: np.ndarray
     mask: np.ndarray
     neg_dmask: np.ndarray
     max_omega: float
+    half_mask: np.ndarray
+    half_neg_dmask: np.ndarray
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ for coefficients of shape (..., nx, ny)."""
-        vals = np.fft.ifft2(coeffs, norm="forward").real
-        return self.neg_dmask * np.fft.fft2(vals * vals, norm="forward")
+        return self.grid.full_spectrum(self._half_nonlinear(self.grid.half_spectrum(coeffs)))
+
+    def _half_nonlinear(self, half: np.ndarray) -> np.ndarray:
+        """-D P_B (u^2)^ on the half spectrum: the package's one nonlinear term."""
+        vals = np.fft.irfft2(half, s=(self.grid.nx, self.grid.ny), norm="forward")
+        return self.half_neg_dmask * np.fft.rfft2(vals * vals, norm="forward")
 
     def phase(self, t) -> np.ndarray:
         """exp(i t omega), shape t.shape + (nx, ny): the package's one free phase."""
@@ -60,10 +71,11 @@ def spectral_kernel(grid: Grid2D, form: DispersionForm) -> SpectralKernel:
     """The kernel of (grid, form), built once; every caller shares its arrays."""
     omega, mask = form.omega(grid), dealias_mask(grid)
     neg_dmask = -form.nonlinear_derivative(grid) * mask
-    for arr in (omega, mask, neg_dmask):
+    halves = [np.ascontiguousarray(grid.half_spectrum(a)) for a in (mask, neg_dmask)]
+    for arr in (omega, mask, neg_dmask, *halves):
         arr.setflags(write=False)
     return SpectralKernel(grid, omega, mask, neg_dmask,
-                          float(np.abs(omega[mask]).max()))
+                          float(np.abs(omega[mask]).max()), *halves)
 
 
 def max_dispersion(grid, form: DispersionForm) -> float:
@@ -107,6 +119,13 @@ class EtdrkTableau:
     f2: np.ndarray
     f3: np.ndarray
 
+    @cached_property
+    def half(self) -> "EtdrkTableau":
+        """The same coefficients on the half spectrum, built once per tableau."""
+        width = self.e_full.shape[-1] // 2 + 1
+        return EtdrkTableau(*(np.ascontiguousarray(getattr(self, f.name)[..., :width])
+                              for f in fields(self)))
+
 
 def etdrk4_tableau(grid, dt: float, form: DispersionForm) -> EtdrkTableau:
     z = 1j * dt * spectral_kernel(grid, form).omega
@@ -132,36 +151,48 @@ class SolverState:
     steps: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise UsageError(f"dt must be positive, got {self.dt}")
-        limit = self.dt * max_dispersion(self.field.grid, self.form)
-        if limit > DT_OMEGA_LIMIT:
-            raise UsageError(
-                f"dt * max|omega| = {limit:.3g} exceeds the documented limit "
-                f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
+        _check_dt(self.field.grid, self.dt, self.form)
+
+
+def _check_dt(grid: Grid2D, dt: float, form: DispersionForm) -> None:
+    if not dt > 0:
+        raise UsageError(f"dt must be positive, got {dt}")
+    limit = dt * max_dispersion(grid, form)
+    if limit > DT_OMEGA_LIMIT:
+        raise UsageError(
+            f"dt * max|omega| = {limit:.3g} exceeds the documented limit "
+            f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
+
+
+def _step(coeffs: np.ndarray, kernel: SpectralKernel, tab: EtdrkTableau,
+          t: float, dt: float, steps: int) -> np.ndarray:
+    """The one ETDRK4 step body: half-spectrum coefficients at time t, 2/3-masked
+    first, advanced with a tableau's ``half``; InstabilityError if non-finite."""
+    uhat = coeffs * kernel.half_mask
+    nonlinear = kernel._half_nonlinear
+    n0 = nonlinear(uhat)
+    a = tab.e_half * uhat + tab.q * n0
+    na = nonlinear(a)
+    b = tab.e_half * uhat + tab.q * na
+    nb = nonlinear(b)
+    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
+    nc = nonlinear(c)
+    new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
+    if not np.all(np.isfinite(new)):
+        grid = kernel.grid
+        l2 = float(np.sqrt(grid.area * np.sum(np.abs(grid.full_spectrum(coeffs)) ** 2)))
+        raise InstabilityError(f"non-finite state at t = {t + dt:.6g}",
+                               last_diagnostics={"t": t, "steps": steps, "l2": l2})
+    return new
 
 
 def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     """One ETDRK4 step with the tableau of (grid, state.dt, state.form);
     raises InstabilityError on non-finite output."""
     grid = state.field.grid
-    kernel = spectral_kernel(grid, state.form)
-    uhat = state.field.coeffs * kernel.mask
-    n0 = kernel.nonlinear(uhat)
-    a = tableau.e_half * uhat + tableau.q * n0
-    na = kernel.nonlinear(a)
-    b = tableau.e_half * uhat + tableau.q * na
-    nb = kernel.nonlinear(b)
-    c = tableau.e_half * a + tableau.q * (2.0 * nb - n0)
-    nc = kernel.nonlinear(c)
-    new = (tableau.e_full * uhat + tableau.f1 * n0 + 2.0 * tableau.f2 * (na + nb)
-           + tableau.f3 * nc)
-    if not np.all(np.isfinite(new)):
-        l2 = float(np.sqrt(grid.area * np.sum(np.abs(state.field.coeffs) ** 2)))
-        raise InstabilityError(
-            f"non-finite state at t = {state.t + state.dt:.6g}",
-            last_diagnostics={"t": state.t, "steps": state.steps, "l2": l2})
-    return replace(state, field=Field(grid, new, "spectral"),
+    new = _step(grid.half_spectrum(state.field.coeffs), spectral_kernel(grid, state.form),
+                tableau.half, state.t, state.dt, state.steps)
+    return replace(state, field=Field(grid, grid.full_spectrum(new), "spectral"),
                    t=state.t + state.dt, steps=state.steps + 1)
 
 
@@ -182,7 +213,8 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
         raise UsageError("t_final must be non-negative")
     if sample_every < 1:
         raise UsageError("sample_every must be a positive integer")
-    frames = [u0.coeffs * spectral_kernel(grid, form).mask]
+    kernel = spectral_kernel(grid, form)
+    frames = [u0.coeffs * kernel.mask]
     if diagnostics is not None:
         diagnostics(0.0, Field(grid, frames[0], "spectral"))
     if t_final == 0:
@@ -194,12 +226,14 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     if n_steps % sample_every != 0:
         raise UsageError("t_final / dt must be divisible by sample_every")
 
-    state = SolverState(Field(grid, frames[0], "spectral"), 0.0, dt, form)
-    tab = etdrk4_tableau(grid, dt, form)
+    _check_dt(grid, dt, form)
+    tab = etdrk4_tableau(grid, dt, form).half
+    uhat, t = grid.half_spectrum(frames[0]), 0.0
     for k in range(1, n_steps + 1):
-        state = step_etdrk4(state, tab)
+        uhat = _step(uhat, kernel, tab, t, dt, k - 1)
+        t += dt
         if k % sample_every == 0:
-            frames.append(state.field.coeffs)
+            frames.append(grid.full_spectrum(uhat))
             if diagnostics is not None:
-                diagnostics(state.t, state.field)
+                diagnostics(t, Field(grid, frames[-1], "spectral"))
     return SpaceTimeField(grid, 0.0, dt * sample_every, np.stack(frames))

@@ -42,9 +42,10 @@ class DispersionForm(Enum):
         """Dispersion polynomial at arbitrary (xi, eta) points (no masking)."""
         xi = np.asarray(xi, dtype=np.float64)
         eta = np.asarray(eta, dtype=np.float64)
+        # products, not powers, keep omega exactly odd (x ** 3 may round unevenly)
         if self is DispersionForm.ORIGINAL:
-            return xi ** 3 + xi * eta ** 2
-        return xi ** 3 + eta ** 3
+            return xi * xi * xi + xi * eta * eta
+        return xi * xi * xi + eta * eta * eta
 
     def nonlinear_derivative(self, grid: Grid2D) -> np.ndarray:
         """Multiplier of the derivative acting on u^2 (i xi, or i (xi + eta))."""

@@ -16,6 +16,11 @@ Conventions fixed here and relied on everywhere else:
   symbol (odd derivatives, omega, the nonlinear derivative) is zeroed there
   to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
   ``eta_odd`` apply it; every symbol in the package reads them.
+* Half spectrum: Hermitian coefficients are fixed by the ``(nx, ny // 2 + 1)``
+  columns k = 0, ..., ny/2 - 1 and -ny/2 (``rfft2``'s layout), which is all the
+  stepper keeps.  ``Grid2D.half_spectrum`` slices them out and
+  ``Grid2D.full_spectrum`` rebuilds the rest as conjugate mirrors; ``Field``
+  and every public array stay full-spectrum.
 """
 
 from __future__ import annotations
@@ -123,6 +128,15 @@ class Grid2D:
         """False on the unpaired Nyquist row j = -nx/2 and column k = -ny/2."""
         return ((self.jx != -(self.nx // 2))[:, None]
                 & (self.jy != -(self.ny // 2))[None, :])
+
+    def half_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
+        """The half-spectrum columns of (..., nx, ny) coefficients, a view."""
+        return coeffs[..., : self.ny // 2 + 1]
+
+    def full_spectrum(self, half: np.ndarray) -> np.ndarray:
+        """(..., nx, ny) Hermitian coefficients from their half spectrum."""
+        tail = half[..., -np.arange(self.nx) % self.nx, self.ny // 2 - 1:0:-1]
+        return np.concatenate((half, np.conj(tail)), axis=-1)
 
     def same_geometry(self, other: "Grid2D") -> bool:
         return (self.nx == other.nx and self.ny == other.ny

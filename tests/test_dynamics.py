@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zklab.dynamics
 import zklab.spectral
@@ -83,8 +83,11 @@ class TestFreePropagator:
         np.testing.assert_allclose(kernel.phase(-t), np.conj(stack), rtol=0.0, atol=1e-15)
 
     def test_real_output(self):
+        """The propagated coefficients stay Hermitian: their full inverse
+        transform is real to round-off relative to the field."""
         v = linear_propagator(smooth_data(G), 0.37, DispersionForm.ORIGINAL)
-        assert np.abs(v.values.imag).max() if np.iscomplexobj(v.values) else True
+        imag = np.fft.ifft2(v.coeffs, norm="forward").imag
+        assert np.abs(imag).max() <= 1e-14 * np.abs(v.values).max()
 
 
 class TestEtdrk4:
@@ -309,3 +312,68 @@ class TestHermitianSymmetry:
         for _ in range(3):
             state = step_etdrk4(state, tableau)
         assert hermitian_defect(state.field.coeffs) <= self.TOL
+
+
+def mirror(coeffs: np.ndarray) -> np.ndarray:
+    """c(-zeta) on the lattice, for every zeta in FFT order."""
+    return np.roll(np.flip(coeffs, axis=(-2, -1)), 1, axis=(-2, -1))
+
+
+BOXES = dict(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+             lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestHalfSpectrum:
+    """The stepper runs on the (nx, ny // 2 + 1) half spectrum; the public API
+    converts at its boundary and must agree with the full spectrum."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(**BOXES)
+    def test_full_half_full_round_trips_hermitian_coefficients(self, nx, ny, lx, ly, seed):
+        g = make_grid(nx, ny, lx, ly)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2, nx, ny)) + 1j * rng.standard_normal((2, nx, ny))
+        hermitian = 0.5 * (a + np.conj(mirror(a)))
+        half = g.half_spectrum(hermitian)
+        assert half.shape == (2, nx, ny // 2 + 1)
+        np.testing.assert_array_equal(g.full_spectrum(half), hermitian)
+        # the half spectrum of a real field is numpy's rfft2 layout
+        x = rng.standard_normal((nx, ny))
+        np.testing.assert_allclose(g.half_spectrum(make_field(g, x).coeffs),
+                                   np.fft.rfft2(x, norm="forward"), rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**BOXES, form=st.sampled_from(list(DispersionForm)), k=st.integers(1, 4))
+    def test_step_etdrk4_matches_evolve_frames(self, nx, ny, lx, ly, seed, form, k):
+        g = make_grid(nx, ny, lx, ly)
+        u = make_field(g, 0.1 * np.random.default_rng(seed).standard_normal((nx, ny)))
+        dt = min(1e-3, 0.5 / max_dispersion(g, form))
+        traj = evolve(u, k * dt, dt, form)
+        assert traj.num_frames == k + 1
+        state = SolverState(u, 0.0, dt, form)
+        tableau = etdrk4_tableau(g, dt, form)
+        for frame in range(1, k + 1):
+            state = step_etdrk4(state, tableau)
+            want = traj.frame(frame).coeffs
+            assert np.linalg.norm(state.field.coeffs - want) <= 1e-14 * np.linalg.norm(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**BOXES, form=st.sampled_from(list(DispersionForm)))
+    def test_instability_reports_the_last_finite_l2(self, nx, ny, lx, ly, seed, form):
+        g = make_grid(nx, ny, lx, ly)
+        # a nonlinear rate |D| u dt of order 1e5 per step breaks down in a step or two
+        dt = 1e3 / max_dispersion(g, form)
+        amplitude = 1e5 / (dt * np.abs(spectral_kernel(g, form).neg_dmask).max())
+        u = make_field(g, amplitude * np.random.default_rng(seed).standard_normal((nx, ny)))
+        seen = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InstabilityError) as err:
+                evolve(u, 50 * dt, dt, form, diagnostics=lambda t, f: seen.append((t, f)))
+            t_last, last = seen[-1]
+            l2 = np.sqrt(g.area * np.sum(np.abs(last.coeffs) ** 2))
+        diag = err.value.last_diagnostics
+        assert diag["steps"] == len(seen) - 1
+        assert diag["t"] == t_last
+        assume(np.isfinite(l2))  # the squares of a state near overflow overflow
+        assert diag["l2"] == pytest.approx(l2, rel=1e-14)

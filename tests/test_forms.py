@@ -35,6 +35,17 @@ def test_omega_is_odd_and_nyquist_free():
         np.testing.assert_array_equal(flipped, -w)
 
 
+@pytest.mark.parametrize("form", list(DispersionForm))
+def test_omega_is_exactly_odd_on_a_unit_box(form):
+    """omega(-zeta) == -omega(zeta) bit for bit off the Nyquist lines, on the
+    64 x 8 unit box where a vectorised x ** 3 rounds j = 31 and -31 apart."""
+    g = make_grid(64, 8, 1.0, 1.0)
+    w = form.omega(g)
+    mirror = w[(-np.arange(g.nx)) % g.nx][:, (-np.arange(g.ny)) % g.ny]
+    paired = g.nyquist_mask
+    np.testing.assert_array_equal(mirror[paired], -w[paired])
+
+
 def test_omega_scalar_unmasked():
     assert DispersionForm.ORIGINAL.omega_scalar(2.0, 3.0) == pytest.approx(8 + 18)
     assert DispersionForm.SYMMETRIZED.omega_scalar(2.0, 3.0) == pytest.approx(8 + 27)
