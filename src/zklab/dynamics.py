@@ -10,10 +10,9 @@ SpectralKernel.  The linear part is exact (phase multipliers); the classical
 ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 
-The stepper runs on the half spectrum (``spectral`` module docstring), its
-nonlinear term being irfft2 -> square -> rfft2 -> multiply; ``evolve`` builds
-full-spectrum frames only where it samples, ``step_etdrk4`` and
-``SpectralKernel.nonlinear`` convert once per call.
+Steps run on the half spectrum (``spectral`` docstring) with the nonlinear
+term irfft2 -> square -> rfft2 -> multiply; ``step_etdrk4`` and
+``SpectralKernel.nonlinear`` convert from and to the full spectrum per call.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ class EtdrkTableau:
     f3: np.ndarray
 
     @cached_property
-    def half(self) -> "EtdrkTableau":
+    def half_spectrum(self) -> "EtdrkTableau":
         """The same coefficients on the half spectrum, built once per tableau."""
         width = self.e_full.shape[-1] // 2 + 1
         return EtdrkTableau(*(np.ascontiguousarray(getattr(self, f.name)[..., :width])
@@ -151,25 +150,22 @@ class SolverState:
     steps: int = 0
 
     def __post_init__(self):
-        _check_dt(self.field.grid, self.dt, self.form)
+        if not self.dt > 0:
+            raise UsageError(f"dt must be positive, got {self.dt}")
+        limit = self.dt * max_dispersion(self.field.grid, self.form)
+        if limit > DT_OMEGA_LIMIT:
+            raise UsageError(
+                f"dt * max|omega| = {limit:.3g} exceeds the documented limit "
+                f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
 
 
-def _check_dt(grid: Grid2D, dt: float, form: DispersionForm) -> None:
-    if not dt > 0:
-        raise UsageError(f"dt must be positive, got {dt}")
-    limit = dt * max_dispersion(grid, form)
-    if limit > DT_OMEGA_LIMIT:
-        raise UsageError(
-            f"dt * max|omega| = {limit:.3g} exceeds the documented limit "
-            f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
-
-
-def _step(coeffs: np.ndarray, kernel: SpectralKernel, tab: EtdrkTableau,
-          t: float, dt: float, steps: int) -> np.ndarray:
-    """The one ETDRK4 step body: half-spectrum coefficients at time t, 2/3-masked
-    first, advanced with a tableau's ``half``; InstabilityError if non-finite."""
-    uhat = coeffs * kernel.half_mask
-    nonlinear = kernel._half_nonlinear
+def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
+    """One ETDRK4 step with the tableau of (grid, state.dt, state.form), taken
+    on the half spectrum; raises InstabilityError on non-finite output."""
+    grid = state.field.grid
+    kernel = spectral_kernel(grid, state.form)
+    tab, nonlinear = tableau.half_spectrum, kernel._half_nonlinear
+    uhat = grid.half_spectrum(state.field.coeffs) * kernel.half_mask
     n0 = nonlinear(uhat)
     a = tab.e_half * uhat + tab.q * n0
     na = nonlinear(a)
@@ -179,19 +175,13 @@ def _step(coeffs: np.ndarray, kernel: SpectralKernel, tab: EtdrkTableau,
     nc = nonlinear(c)
     new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
     if not np.all(np.isfinite(new)):
-        grid = kernel.grid
-        l2 = float(np.sqrt(grid.area * np.sum(np.abs(grid.full_spectrum(coeffs)) ** 2)))
-        raise InstabilityError(f"non-finite state at t = {t + dt:.6g}",
-                               last_diagnostics={"t": t, "steps": steps, "l2": l2})
-    return new
-
-
-def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
-    """One ETDRK4 step with the tableau of (grid, state.dt, state.form);
-    raises InstabilityError on non-finite output."""
-    grid = state.field.grid
-    new = _step(grid.half_spectrum(state.field.coeffs), spectral_kernel(grid, state.form),
-                tableau.half, state.t, state.dt, state.steps)
+        # scaled by the largest modulus, so a last state near overflow keeps a finite norm
+        mod = np.abs(state.field.coeffs)
+        top = mod.max()
+        l2 = float(top * np.sqrt(grid.area * np.sum((mod / top) ** 2))) if top > 0 else 0.0
+        raise InstabilityError(
+            f"non-finite state at t = {state.t + state.dt:.6g}",
+            last_diagnostics={"t": state.t, "steps": state.steps, "l2": l2})
     return replace(state, field=Field(grid, grid.full_spectrum(new), "spectral"),
                    t=state.t + state.dt, steps=state.steps + 1)
 
@@ -213,8 +203,7 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
         raise UsageError("t_final must be non-negative")
     if sample_every < 1:
         raise UsageError("sample_every must be a positive integer")
-    kernel = spectral_kernel(grid, form)
-    frames = [u0.coeffs * kernel.mask]
+    frames = [u0.coeffs * spectral_kernel(grid, form).mask]
     if diagnostics is not None:
         diagnostics(0.0, Field(grid, frames[0], "spectral"))
     if t_final == 0:
@@ -226,14 +215,12 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     if n_steps % sample_every != 0:
         raise UsageError("t_final / dt must be divisible by sample_every")
 
-    _check_dt(grid, dt, form)
-    tab = etdrk4_tableau(grid, dt, form).half
-    uhat, t = grid.half_spectrum(frames[0]), 0.0
+    state = SolverState(Field(grid, frames[0], "spectral"), 0.0, dt, form)
+    tab = etdrk4_tableau(grid, dt, form)
     for k in range(1, n_steps + 1):
-        uhat = _step(uhat, kernel, tab, t, dt, k - 1)
-        t += dt
+        state = step_etdrk4(state, tab)
         if k % sample_every == 0:
-            frames.append(grid.full_spectrum(uhat))
+            frames.append(state.field.coeffs)
             if diagnostics is not None:
-                diagnostics(t, Field(grid, frames[-1], "spectral"))
+                diagnostics(state.t, state.field)
     return SpaceTimeField(grid, 0.0, dt * sample_every, np.stack(frames))

@@ -168,18 +168,9 @@ def _direct_lambda(fields: list[Field], symbol: MultilinearSymbol) -> complex:
     index combinations are dropped).  Cost O(n^(2(k-1)))."""
     grid = fields[0].grid
     nx, ny = grid.nx, grid.ny
-    jx = np.fft.fftfreq(nx, 1.0 / nx).astype(np.int64)
-    jy = np.fft.fftfreq(ny, 1.0 / ny).astype(np.int64)
-    jj = np.repeat(jx, ny)
-    kk = np.tile(jy, nx)
+    jj, kk = np.repeat(grid.jx, ny), np.tile(grid.jy, nx)
     flats = [f.coeffs.reshape(-1) for f in fields]
     sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
-
-    def xi(j):
-        return sx * j
-
-    def eta(k):
-        return sy * k
 
     if symbol.arity == 3:
         j1, j2 = jj[:, None], jj[None, :]
@@ -188,7 +179,7 @@ def _direct_lambda(fields: list[Field], symbol: MultilinearSymbol) -> complex:
         valid = (j3 >= -nx // 2) & (j3 <= nx // 2 - 1) & \
                 (k3 >= -ny // 2) & (k3 <= ny // 2 - 1)
         idx3 = (j3 % nx) * ny + (k3 % ny)
-        vals = symbol([xi(j1), xi(j2), xi(j3)], [eta(k1), eta(k2), eta(k3)])
+        vals = symbol([sx * j1, sx * j2, sx * j3], [sy * k1, sy * k2, sy * k3])
         prod = flats[0][:, None] * flats[1][None, :] * flats[2][idx3]
         return grid.area * complex(np.sum(np.where(valid, vals * prod, 0.0)))
 
@@ -204,8 +195,8 @@ def _direct_lambda(fields: list[Field], symbol: MultilinearSymbol) -> complex:
             valid = (j4 >= -nx // 2) & (j4 <= nx // 2 - 1) & \
                     (k4 >= -ny // 2) & (k4 <= ny // 2 - 1)
             idx4 = (j4 % nx) * ny + (k4 % ny)
-            vals = symbol([xi(j1), xi(j2), xi(j3), xi(j4)],
-                          [eta(k1), eta(k2), eta(k3), eta(k4)])
+            vals = symbol([sx * j1, sx * j2, sx * j3, sx * j4],
+                          [sy * k1, sy * k2, sy * k3, sy * k4])
             prod = flats[1][:, None] * flats[2][None, :] * flats[3][idx4]
             total += flats[0][i1] * np.sum(np.where(valid, vals * prod, 0.0))
         return grid.area * complex(total)

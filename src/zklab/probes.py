@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bumps import chi
-from .dynamics import _check_dt, _step, etdrk4_tableau, spectral_kernel
+from .dynamics import SolverState, etdrk4_tableau, spectral_kernel, step_etdrk4
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .ic import random_band_limited, shell_field
@@ -426,24 +426,31 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         # the three factors' half-spectrum weights, transformed in one irfft2
         factors = np.stack([g.half_spectrum(w) for w in (
             weights[n1], weights[n2], -weights[n3] * kernel.neg_dmask)])
-        coeffs = g.half_spectrum(amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
-                                              + shell_field(g, n2, seed + 3 * i + 1).coeffs
-                                              + shell_field(g, n3, seed + 3 * i + 2).coeffs))
+        u0 = Field(g,
+                   amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
+                                + shell_field(g, n2, seed + 3 * i + 1).coeffs
+                                + shell_field(g, n3, seed + 3 * i + 2).coeffs),
+                   "spectral")
         steps = num_steps or _trilinear_steps(n1, n2, n3, 2.0 * tval)
         stride = max(1, steps // 64)
         dt = 2.0 * tval / steps
-        _check_dt(g, dt, form)
-        tableau = etdrk4_tableau(g, dt, form).half
+        state = SolverState(u0, 0.0, dt, form)
+        tableau = etdrk4_tableau(g, dt, form)
         integrand = np.empty(steps + 1)
         kept = []
 
-        for k in range(steps + 1):
-            if k:
-                coeffs = _step(coeffs, kernel, tableau, (k - 1) * dt, dt, k - 1)
-            a, b, d = np.fft.irfft2(coeffs * factors, s=(g.nx, g.ny), norm="forward")
-            integrand[k] = np.sum(a * b * d) * g.cell_area
-            if k % stride == 0:
-                kept.append(g.full_spectrum(coeffs))
+        def record(st: SolverState):
+            c = st.field.coeffs
+            a, b, d = np.fft.irfft2(g.half_spectrum(c) * factors, s=(g.nx, g.ny),
+                                    norm="forward")
+            integrand[st.steps] = np.sum(a * b * d) * g.cell_area
+            if st.steps % stride == 0:
+                kept.append(c)
+
+        record(state)
+        for _ in range(steps):
+            state = step_etdrk4(state, tableau)
+            record(state)
         times = dt * np.arange(steps + 1)
         form_val = abs(definite_integral(chi(times / tval) * integrand, dt))
         coarse = np.stack(kept)

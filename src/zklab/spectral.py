@@ -16,11 +16,10 @@ Conventions fixed here and relied on everywhere else:
   symbol (odd derivatives, omega, the nonlinear derivative) is zeroed there
   to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
   ``eta_odd`` apply it; every symbol in the package reads them.
-* Half spectrum: Hermitian coefficients are fixed by the ``(nx, ny // 2 + 1)``
-  columns k = 0, ..., ny/2 - 1 and -ny/2 (``rfft2``'s layout), which is all the
-  stepper keeps.  ``Grid2D.half_spectrum`` slices them out and
-  ``Grid2D.full_spectrum`` rebuilds the rest as conjugate mirrors; ``Field``
-  and every public array stay full-spectrum.
+* Half spectrum: Hermitian coefficients are fixed by their first
+  ``ny // 2 + 1`` columns (``rfft2``'s layout), all that the stepper keeps;
+  ``Grid2D.half_spectrum`` / ``full_spectrum`` convert, and ``Field`` and every
+  public array stay full-spectrum.
 """
 
 from __future__ import annotations
