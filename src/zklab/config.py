@@ -104,6 +104,7 @@ _POSITIVE_KEYS = {"lx", "dt", "t_final", "delta", "t_target", "q", "r",
                   "s", "p"}
 # zero is a documented sentinel for these ("use the derived value")
 _NONNEGATIVE_KEYS = {"ly", "horizon", "kmax", "envelope", "n_block", "num_steps"}
+_INFINITE_KEYS = {"q", "r", "p"}  # inf is a documented Lebesgue endpoint
 
 
 def _coerce(key: str, value, target_type):
@@ -120,7 +121,7 @@ def _coerce(key: str, value, target_type):
                 return False
             raise ValueError(value)
         return target_type(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             f"config key {key!r}: cannot interpret {value!r} as {target_type.__name__}")
 
@@ -154,6 +155,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
 
 
 def _validate(config: RunConfig, explicit: set) -> None:
+    for key in sorted(explicit):
+        val = getattr(config, key)
+        for v in val if key in _LIST_KEYS else (val,):
+            if isinstance(v, float) and (math.isnan(v) or (
+                    math.isinf(v) and key not in _INFINITE_KEYS)):
+                raise ConfigurationError(f"config key {key!r}: must be finite, got {v}")
     for key in ("nx",):
         if getattr(config, key) < 8:
             raise ConfigurationError(f"config key {key!r}: need at least 8, "

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import spectral_kernel
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
-from .littlewood_paley import LPProjector, dyadic_shells, shell_weight
+from .littlewood_paley import LPProjector
 from .quadrature import trapezoid_weights
 from .spectral import Field
 from .trajectory import SpaceTimeField
@@ -180,10 +180,10 @@ def y_half_proxy(stf: SpaceTimeField, form: DispersionForm) -> float:
     labeled as the V^2 proxy.
     """
     g = stf.grid
+    lp = LPProjector(g)
     total = 0.0
-    for block in [0.0] + dyadic_shells(g):
-        weight = shell_weight(g.abs_zeta, block)
-        projected = SpaceTimeField(g, stf.t0, stf.dt, stf.coeffs * weight[None, :, :])
+    for block in lp.blocks():
+        projected = SpaceTimeField(g, stf.t0, stf.dt, stf.coeffs * lp.weight(block))
         tv = twisted_variation(projected, 2.0, form)
         total += tv if block == 0.0 else np.sqrt(block) * tv
     return float(total)

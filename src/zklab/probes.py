@@ -201,52 +201,42 @@ def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
 
 # -- symmetrized-frame estimates --------------------------------------------------
 
-def _mode_list(field: Field):
-    ii, kk = np.nonzero(field.coeffs)
-    return field.grid.jx[ii], field.grid.jy[kk], field.coeffs[ii, kk]
-
-
 def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
                       seed: int = 0, span: float = 1.0, frames: int = 17) -> ProbeReport:
     """Half-derivative difference-weighted products of free waves vs N2^{1/2}.
 
-    The bilinear symbol |xi_1 - xi_2|^{1/2} cannot factor through a single
-    multiplier, so the pair sum is evaluated mode by mode and scattered onto
-    the doubled frequency lattice, where Parseval gives the exact spatial L2.
+    The bilinear symbol |xi_1 - xi_2|^{1/2} |xi_1 + xi_2|^{1/2} cannot factor
+    through a single multiplier, so each frame's pair sum over the two shells'
+    modes is scattered onto the doubled frequency lattice, and the windowed
+    space-time L2 of that field is the left side.  Both factors are
+    symmetrized free waves from ``_free_trajectory``.
     """
     if n2 > n1:
         raise UsageError("this probe requires N2 <= N1; swap the arguments")
-    dt = _frame_step(span, frames)
-    t = dt * np.arange(frames)
-    form = DispersionForm.SYMMETRIZED
-    sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
+    doubled = _doubled(grid)
 
     def one(n_big: float, n_small: float, i: int) -> float:
         u0 = shell_field(grid, n_big, seed + 2 * i)
         v0 = shell_field(grid, n_small, seed + 2 * i + 1)
-        j1, k1, c1 = _mode_list(u0)
-        j2, k2, c2 = _mode_list(v0)
-        xi1, eta1 = sx * j1, sy * k1
-        xi2, eta2 = sx * j2, sy * k2
-        amp = np.multiply.outer(c1, c2)
-        inner = np.abs(xi1[:, None] - xi2[None, :]) ** 0.5
-        outer = np.abs(xi1[:, None] + xi2[None, :]) ** 0.5
-        theta = np.add.outer(form.omega_scalar(xi1, eta1),
-                             form.omega_scalar(xi2, eta2))
-        pair_amp = (amp * inner * outer).ravel()
-        theta = theta.ravel()
-        jsum = (j1[:, None] + j2[None, :]).ravel() + grid.nx
-        ksum = (k1[:, None] + k2[None, :]).ravel() + grid.ny
-        flat = jsum * (2 * grid.ny + 1) + ksum
-        nbins = (2 * grid.nx + 1) * (2 * grid.ny + 1)
-        l2sq = np.empty(frames)
+        i1, k1 = np.nonzero(u0.coeffs)
+        i2, k2 = np.nonzero(v0.coeffs)
+        a = _free_trajectory(u0, DispersionForm.SYMMETRIZED, span, frames)
+        b = _free_trajectory(v0, DispersionForm.SYMMETRIZED, span, frames)
+        xi1, xi2 = grid.xi[i1][:, None], grid.xi[i2][None, :]
+        weight = np.abs(xi1 - xi2) ** 0.5 * np.abs(xi1 + xi2) ** 0.5
+        # shell data are dealiased (|j| <= nx/3), so |j1 + j2| < nx: the pair
+        # sums never wrap on the doubled lattice
+        jsum = (grid.jx[i1][:, None] + grid.jx[i2][None, :]) % doubled.nx
+        ksum = (grid.jy[k1][:, None] + grid.jy[k2][None, :]) % doubled.ny
+        flat = (jsum * doubled.ny + ksum).ravel()
+        pairs = np.zeros((frames, doubled.nx * doubled.ny), dtype=np.complex128)
         for l in range(frames):
-            bins = np.zeros(nbins, dtype=np.complex128)
-            np.add.at(bins, flat, pair_amp * np.exp(1j * t[l] * theta))
-            l2sq[l] = np.sum(np.abs(bins) ** 2) * grid.area
-        taper = (1.0 - np.cos(2.0 * np.pi * np.arange(frames) / frames)) / 2.0
-        lhs = np.sqrt(np.sum(trapezoid_weights(frames, dt) * (taper ** 2) * l2sq))
-        return lhs / np.sqrt(n_small)
+            np.add.at(pairs[l], flat,
+                      (weight * np.multiply.outer(a.coeffs[l, i1, k1],
+                                                  b.coeffs[l, i2, k2])).ravel())
+        stf = SpaceTimeField(doubled, 0.0, a.dt,
+                             pairs.reshape(frames, doubled.nx, doubled.ny))
+        return mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0) / np.sqrt(n_small)
 
     return _shell_pair_report("gh-bilinear", one, n1, n2, grid, samples, seed,
                               span, frames)

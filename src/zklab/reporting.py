@@ -112,6 +112,8 @@ def read_frame_csv(path: str) -> Field:
     if vals.shape != (grid.nx, grid.ny):
         raise DataError(f"frame body {vals.shape} does not match header "
                         f"({grid.nx}, {grid.ny})")
+    if not np.all(np.isfinite(vals)):
+        raise DataError(f"{path} holds non-finite samples")
     return make_field(grid, vals)
 
 

@@ -82,6 +82,11 @@ class TestExitCodes:
                    "--dt", "0.001")
         assert code == 2
 
+    def test_nan_time_is_2(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "--nx", "16", "--T", "nan", "--dt", "0.001")
+        assert code == 2
+        assert "t_final" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, key", [("--T-grid", "t_grid"), ("--L-grid", "l_grid")])
     def test_empty_cutoff_grid_is_2(self, tmp_path, capsys, flag, key):
         code = run(tmp_path, "probe", "--estimate", "cutoff", flag, ",")
@@ -103,7 +108,9 @@ class TestExitCodes:
         ("# zklab-frame nx=8 ny 8 lx=6.28 ly=6.28", "0," * 7 + "0"),
         ("# zklab-frame nx=8 ny=8 lx=6.28 ly=6.28", "0," * 7 + "abc"),
         ("# zklab-frame nx=8 lx=6.28 ly=6.28", "0," * 7 + "0"),
-    ], ids=["token-without-equals", "non-numeric-cell", "missing-ny"])
+        ("# zklab-frame nx=8 ny=8 lx=6.28 ly=6.28", "0," * 7 + "nan"),
+    ], ids=["token-without-equals", "non-numeric-cell", "missing-ny",
+            "non-finite-cell"])
     def test_malformed_frame_file_is_2(self, tmp_path, capsys, header, body):
         path = tmp_path / "frame.csv"
         path.write_text(header + "\n" + "\n".join([body] * 8) + "\n")

@@ -100,6 +100,14 @@ class TestValidation:
             load_config(overrides={"sample_every": 0})
         with pytest.raises(ConfigurationError):
             load_config(overrides={"n_list": ""})
+        for key, value in (("t_final", "nan"), ("t_final", "inf"),
+                           ("amplitude", "nan"), ("dt", "-inf"),
+                           ("t_grid", "nan,1"), ("n_list", "4,inf"), ("q", "nan"),
+                           ("samples", float("inf"))):
+            with pytest.raises(ConfigurationError, match=key):
+                load_config(overrides={key: value})
+        # inf is the documented endpoint of the Lebesgue exponents
+        assert load_config(overrides={"q": "inf", "r": "inf", "p": "inf"}).p == float("inf")
 
     @pytest.mark.parametrize("key", ["n_list", "t_grid", "l_grid"])
     def test_every_list_key_must_be_non_empty(self, key):

@@ -219,6 +219,20 @@ class TestSharedDispersion:
                          (DispersionForm.ORIGINAL, g32): 1,
                          (DispersionForm.SYMMETRIZED, G16): 1}
 
+    def test_gh_bilinear_omega_built_once_on_the_base_grid(self, monkeypatch):
+        built = Counter()
+        original = DispersionForm.omega
+
+        def counting(form, grid):
+            built[(form, grid)] += 1
+            return original(form, grid)
+
+        spectral_kernel.cache_clear()
+        monkeypatch.setattr(DispersionForm, "omega", counting)
+        gh_bilinear_probe(4.0, 2.0, G, samples=1, frames=5)
+        spectral_kernel.cache_clear()
+        assert built == {(DispersionForm.SYMMETRIZED, G): 1}
+
     def test_trilinear_derivative_built_once_per_grid(self, monkeypatch):
         built = Counter()
         original = DispersionForm.nonlinear_derivative
