@@ -60,9 +60,10 @@ class SpectralKernel:
         vals = np.fft.irfft2(half, s=(self.grid.nx, self.grid.ny), norm="forward")
         return self.half_neg_dmask * np.fft.rfft2(vals * vals, norm="forward")
 
-    def phase(self, t) -> np.ndarray:
-        """exp(i t omega), shape t.shape + (nx, ny): the package's one free phase."""
-        return np.exp(1j * np.asarray(t, dtype=float)[..., None, None] * self.omega)
+    def phase(self, t, support=...) -> np.ndarray:
+        """exp(i t omega), shape t.shape + (nx, ny), or t.shape + (count,) on the
+        columns of a boolean support mask: the package's one free phase."""
+        return np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), self.omega[support]))
 
 
 @lru_cache(maxsize=8)

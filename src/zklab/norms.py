@@ -131,7 +131,7 @@ def xsb_norm(stf: SpaceTimeField, s: float, b: float, form: DispersionForm) -> f
 # -- discrete p-variation ------------------------------------------------------
 
 def _as_vectors(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray) and samples.ndim >= 2:
+    if isinstance(samples, np.ndarray) and samples.ndim >= 2 and samples.shape[0]:
         return samples.reshape(samples.shape[0], -1)
     rows = [np.ravel(np.asarray(s)) for s in samples]
     if not rows:
@@ -142,18 +142,25 @@ def _as_vectors(samples) -> np.ndarray:
     return np.stack(rows)
 
 
+def _support(samples: np.ndarray) -> np.ndarray:
+    """Columns non-zero in some sample; the rest add exactly 0 to every increment."""
+    return np.any(samples != 0, axis=0)
+
+
 def pvariation_norm(samples, p: float) -> float:
     """Discrete V^p norm: sup over subsequences of (sum ||increments||^p)^(1/p).
 
     Dynamic program over K^2 subproblems; exact for the sampled sup, which
-    only ranges over partitions drawn from the given sample times.
+    only ranges over partitions drawn from the given sample times.  Columns
+    zero in every sample are dropped: O(K^2 * support), not O(K^2 * columns).
     """
-    if p < 1:
-        raise UsageError(f"p must be >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1):
+        raise UsageError(f"p must be finite and >= 1, got {p}")
     vecs = _as_vectors(samples)
     k = vecs.shape[0]
     if k < 2:
         return 0.0
+    vecs = vecs[:, _support(vecs)]
     cum = np.zeros(k)
     for j in range(1, k):
         d = np.linalg.norm(vecs[:j] - vecs[j], axis=1)
@@ -165,11 +172,12 @@ def twisted_variation(stf: SpaceTimeField, p: float, form: DispersionForm) -> fl
     """V^p norm of t -> exp(-t S) u(t), the U^2-proxy used throughout.
 
     Free solutions give exactly 0.  Coefficient vectors are scaled so that
-    the l2 distance matches the spatial L2 norm.
+    the l2 distance matches the spatial L2 norm.  Phase and DP run only on
+    the modes non-zero in some frame: O(K^2 * support), not O(K^2 * nx * ny).
     """
-    phases = spectral_kernel(stf.grid, form).phase(-stf.times)
-    twisted = stf.coeffs * phases * np.sqrt(stf.grid.area)
-    return pvariation_norm(twisted.reshape(stf.num_frames, -1), p)
+    support = _support(stf.coeffs)
+    phases = spectral_kernel(stf.grid, form).phase(-stf.times, support)
+    return pvariation_norm(stf.coeffs[:, support] * phases * np.sqrt(stf.grid.area), p)
 
 
 def y_half_proxy(stf: SpaceTimeField, form: DispersionForm) -> float:

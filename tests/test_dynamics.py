@@ -83,6 +83,13 @@ class TestFreePropagator:
                                           u.coeffs * multiplier)
         np.testing.assert_allclose(kernel.phase(-t), np.conj(stack), rtol=0.0, atol=1e-15)
 
+    def test_phase_on_a_support_mask_is_the_gathered_full_phase(self):
+        kernel = spectral_kernel(G, DispersionForm.SYMMETRIZED)
+        support = np.abs(smooth_data(G).coeffs) > 1e-3
+        t = np.array([0.0, 0.3, -1.1])
+        assert 0 < support.sum() < support.size
+        np.testing.assert_array_equal(kernel.phase(t, support), kernel.phase(t)[:, support])
+
     def test_real_output(self):
         """The propagated coefficients stay Hermitian: their full inverse
         transform is real to round-off relative to the field."""

@@ -7,10 +7,12 @@ import pytest
 
 from zklab import (
     DispersionForm,
+    LPProjector,
     ResolutionError,
     SpaceTimeField,
     UsageError,
     besov_norm_2_1,
+    evolve,
     from_coefficients,
     lebesgue_norm,
     linear_propagator,
@@ -18,11 +20,13 @@ from zklab import (
     make_grid,
     mixed_lebesgue_norm,
     pvariation_norm,
+    random_band_limited,
     sobolev_norm,
     twisted_variation,
     xsb_norm,
     y_half_proxy,
 )
+from zklab.dynamics import spectral_kernel
 
 G = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
 
@@ -173,12 +177,21 @@ class TestPVariation:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_matches_exhaustive_search(self, p):
+        """Random samples, and the same samples spread over a wider vector with
+        all-zero columns at random positions and one zero entry in a kept column."""
         rng = np.random.default_rng(17)
+        pad = np.random.default_rng(31)
         for _ in range(25):
             k = rng.integers(2, 9)
             vecs = rng.standard_normal((k, 3))
-            got = pvariation_norm(vecs, p)
-            assert got == pytest.approx(self.exhaustive(vecs, p), rel=1e-12)
+            width = 3 + pad.integers(1, 6)
+            cols = np.sort(pad.choice(width, 3, replace=False))
+            padded = np.zeros((k, width))
+            padded[:, cols] = vecs
+            padded[pad.integers(k), cols[0]] = 0.0
+            for sample in (vecs, padded):
+                got = pvariation_norm(sample, p)
+                assert got == pytest.approx(self.exhaustive(sample, p), rel=1e-12)
 
     def test_single_jump(self):
         vecs = np.array([[0.0], [0.0], [3.0], [3.0]])
@@ -200,6 +213,12 @@ class TestPVariation:
         assert pvariation_norm(np.zeros((1, 5)), 2.0) == 0.0
         with pytest.raises(UsageError):
             pvariation_norm(np.zeros((3, 2)), 0.5)
+        for empty in ([], np.zeros((0, 5))):
+            with pytest.raises(UsageError, match="at least one sample"):
+                pvariation_norm(empty, 2.0)
+        for p in (np.inf, np.nan):
+            with pytest.raises(UsageError, match="finite"):
+                pvariation_norm(np.array([[0.0], [1.0], [3.0]]), p)
 
 
 class TestTwisted:
@@ -222,6 +241,40 @@ class TestTwisted:
         stf = SpaceTimeField(G, 0.0, 0.1, coeffs)
         got = twisted_variation(stf, 2.0, DispersionForm.ORIGINAL)
         assert got == pytest.approx(sobolev_norm(u0, 0.0), rel=1e-12)
+
+    @staticmethod
+    def full_lattice(stf, p, form):
+        """The uncompressed reference: phase on every mode, DP over every column."""
+        phases = spectral_kernel(stf.grid, form).phase(-stf.times)
+        vecs = (stf.coeffs * phases * np.sqrt(stf.grid.area)).reshape(stf.num_frames, -1)
+        cum = np.zeros(stf.num_frames)
+        for j in range(1, stf.num_frames):
+            d = np.linalg.norm(vecs[:j] - vecs[j], axis=1)
+            cum[j] = np.max(cum[:j] + d ** p)
+        return cum[-1] ** (1.0 / p)
+
+    @pytest.mark.parametrize("form", list(DispersionForm))
+    def test_shell_projections_match_the_full_lattice(self, form):
+        """LP-shell pieces of a nonlinear trajectory on a non-square grid with
+        unequal periods: the support-restricted value equals the full-lattice one."""
+        g = make_grid(32, 16, 2 * np.pi, 3.0)
+        u0 = random_band_limited(g, seed=3, kmax=8, amplitude=2.0)
+        traj = evolve(u0, 0.05, 0.005, form, sample_every=1)
+        lp = LPProjector(g)
+        nonzero = 0
+        for block in lp.blocks():
+            piece = SpaceTimeField(g, 0.0, traj.dt, traj.coeffs * lp.weight(block))
+            assert np.all(piece.coeffs == 0.0, axis=0).any()
+            for p in (2.0, 3.0):
+                ref = self.full_lattice(piece, p, form)
+                nonzero += ref > 0.0
+                got = twisted_variation(piece, p, form)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert nonzero >= 8
+
+    def test_zero_trajectory_is_exactly_zero(self):
+        stf = SpaceTimeField(G, 0.0, 0.1, np.zeros((5, G.nx, G.ny), dtype=complex))
+        assert twisted_variation(stf, 2.0, DispersionForm.SYMMETRIZED) == 0.0
 
 
 class TestYHalfProxy:
