@@ -11,7 +11,7 @@ ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 
 Steps run on the half spectrum (``spectral`` docstring) with the nonlinear
-term irfft2 -> square -> rfft2 -> multiply; ``step_etdrk4`` and
+term to_physical -> square -> to_spectral -> multiply; ``step_etdrk4`` and
 ``SpectralKernel.nonlinear`` convert from and to the full spectrum per call.
 """
 
@@ -57,8 +57,8 @@ class SpectralKernel:
 
     def _half_nonlinear(self, half: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ on the half spectrum: the package's one nonlinear term."""
-        vals = np.fft.irfft2(half, s=(self.grid.nx, self.grid.ny), norm="forward")
-        return self.half_neg_dmask * np.fft.rfft2(vals * vals, norm="forward")
+        vals = self.grid.to_physical(half)
+        return self.half_neg_dmask * self.grid.to_spectral(vals * vals)
 
     def phase(self, t, support=...) -> np.ndarray:
         """exp(i t omega), shape t.shape + (nx, ny), or t.shape + (count,) on the

@@ -67,8 +67,7 @@ def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
     field.
     """
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((grid.nx, grid.ny))
-    coeffs = np.fft.fft2(noise, norm="forward")
+    coeffs = make_field(grid, rng.standard_normal((grid.nx, grid.ny))).coeffs
     r = grid.abs_zeta
     keep = r <= (grid.band_radius if kmax is None else kmax)
     if envelope is not None:
@@ -93,8 +92,7 @@ def shell_field(grid: Grid2D, n: float, seed: int, amplitude: float = 1.0) -> Fi
     """Unit-L2 random data supported on the octave annulus centered at n
     (|zeta| in (n/sqrt(2), n*sqrt(2)]), clipped to the dealias band."""
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((grid.nx, grid.ny))
-    coeffs = np.fft.fft2(noise, norm="forward")
+    coeffs = make_field(grid, rng.standard_normal((grid.nx, grid.ny))).coeffs
     r = grid.abs_zeta
     keep = (r > n / np.sqrt(2.0)) & (r <= n * np.sqrt(2.0))
     field = dealias(Field(grid, np.where(keep, coeffs, 0.0), "spectral"))

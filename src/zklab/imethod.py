@@ -101,13 +101,12 @@ def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> floa
     flow conserves up to integrator error.
     """
     u = field.multiplier(spectral_kernel(field.grid, form).mask)
-    ux = derivative(u, 1, 0).values
-    uy = derivative(u, 0, 1).values
-    vals = u.values
+    vals, ux, uy = field.grid.to_physical(
+        np.stack([u.coeffs, derivative(u, 1, 0).coeffs, derivative(u, 0, 1).coeffs]))
     gradient = ux * ux + uy * uy
     if form is DispersionForm.SYMMETRIZED:
         gradient = gradient - ux * uy
-    density = 0.5 * gradient - vals ** 3 / 3.0
+    density = 0.5 * gradient - vals * vals * vals / 3.0
     return float(np.sum(density) * field.grid.cell_area)
 
 
@@ -263,28 +262,26 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D):
     dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
     # the band mask is a no-op on the zero-sum hyperplane of M3 (the pair
     # frequency equals -zeta_1, already in band) but discards products that
-    # would otherwise wrap around the lattice
-    m_band = msym * mask
+    # would otherwise wrap around the lattice; both pair symbols are half-spectrum
+    m_band = grid.half_spectrum(msym * mask)
     m4_pair = grid.xi_odd[:, None] * m_band
 
-    def to_phys(coeffs):
-        return np.fft.ifft2(coeffs, norm="forward")
-
+    # dx_lap and m4_pair are real and odd: 1j * to_physical(-1j * ...) (spectral docstring)
     def m3_factored(fields):
         w = _once_each(fields, lambda f: _require_band(f, mask, "lambda3 (factored)"))
-        gp = to_phys(dx_lap * w[0])
-        w2p, w3p = _once_each(w[1:], lambda c: to_phys(c).real)
+        gp = 1j * grid.to_physical(-1j * dx_lap * w[0])
+        w2p, w3p = _once_each(w[1:], grid.to_physical)
         term_a = np.sum(gp * (w2p * w3p)) * grid.cell_area
-        v2p, v3p = _once_each(w[1:], lambda c: to_phys(c / msym).real)
-        pair_hat = np.fft.fft2(v2p * v3p, norm="forward") * m_band
-        term_b = np.sum(gp * to_phys(pair_hat)) * grid.cell_area
+        v2p, v3p = _once_each(w[1:], lambda c: grid.to_physical(c / msym))
+        pair_hat = grid.to_spectral(v2p * v3p) * m_band
+        term_b = np.sum(gp * grid.to_physical(pair_hat)) * grid.cell_area
         return complex(term_a - term_b)
 
     def m4_factored(fields):
         w = _once_each(fields, lambda f: _require_band(f, mask, "lambda4 (factored)"))
-        v1p, v2p = _once_each(w[:2], lambda c: to_phys(c / msym).real)
-        fp = to_phys(m4_pair * np.fft.fft2(v1p * v2p, norm="forward"))
-        w3p, w4p = _once_each(w[2:], lambda c: to_phys(c).real)
+        v1p, v2p = _once_each(w[:2], lambda c: grid.to_physical(c / msym))
+        fp = 1j * grid.to_physical(-1j * m4_pair * grid.to_spectral(v1p * v2p))
+        w3p, w4p = _once_each(w[2:], grid.to_physical)
         return complex(np.sum(fp * (w3p * w4p)) * grid.cell_area)
 
     m3 = MultilinearSymbol(3, m3_fn, name="increment-M3", factored=m3_factored)

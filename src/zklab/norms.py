@@ -133,13 +133,12 @@ def xsb_norm(stf: SpaceTimeField, s: float, b: float, form: DispersionForm) -> f
 def _as_vectors(samples) -> np.ndarray:
     if isinstance(samples, np.ndarray) and samples.ndim >= 2 and samples.shape[0]:
         return samples.reshape(samples.shape[0], -1)
-    rows = [np.ravel(np.asarray(s)) for s in samples]
+    rows = [np.asarray(s) for s in samples]
     if not rows:
         raise UsageError("p-variation needs at least one sample")
-    dim = rows[0].size
-    if any(r.size != dim for r in rows):
+    if any(r.shape != rows[0].shape for r in rows):
         raise UsageError("samples must share a common shape")
-    return np.stack(rows)
+    return np.stack(rows).reshape(len(rows), -1)
 
 
 def _support(samples: np.ndarray) -> np.ndarray:

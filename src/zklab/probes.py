@@ -189,8 +189,7 @@ def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
         v0 = shell_field(grid, n_hi, seed + 2 * i + 1)
         tu = _free_trajectory(u0, DispersionForm.ORIGINAL, span, frames)
         tv = _free_trajectory(v0, DispersionForm.ORIGINAL, span, frames)
-        prod = tu.values() * tv.values()
-        coeffs = np.fft.fft2(prod, axes=(1, 2), norm="forward")
+        coeffs = grid.full_spectrum(grid.to_spectral(tu.values() * tv.values()))
         stf = SpaceTimeField(grid, 0.0, tu.dt, coeffs)
         lhs = mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0)
         return lhs * n_hi / np.sqrt(n_lo)
@@ -413,7 +412,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         projector = LPProjector(g)
         weights = {n: projector.weight(n) for n in {n1, n2, n3}}
         kernel = spectral_kernel(g, form)
-        # the three factors' half-spectrum weights, transformed in one irfft2
+        # the three factors' half-spectrum weights, transformed in one to_physical
         factors = np.stack([g.half_spectrum(w) for w in (
             weights[n1], weights[n2], -weights[n3] * kernel.neg_dmask)])
         u0 = Field(g,
@@ -431,8 +430,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
 
         def record(st: SolverState):
             c = st.field.coeffs
-            a, b, d = np.fft.irfft2(g.half_spectrum(c) * factors, s=(g.nx, g.ny),
-                                    norm="forward")
+            a, b, d = g.to_physical(g.half_spectrum(c) * factors)
             integrand[st.steps] = np.sum(a * b * d) * g.cell_area
             if st.steps % stride == 0:
                 kept.append(c)

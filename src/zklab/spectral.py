@@ -7,9 +7,11 @@ Conventions fixed here and relied on everywhere else:
 * Spectral data are Fourier *series* coefficients: the forward transform is
   ``fft2(u) / (nx * ny)``, so ``u(x, y) = sum_jk uhat[j, k] * exp(i(xi_j x + eta_k y))``
   with wavenumbers ``xi_j = 2*pi*j / lx`` on the centered index set
-  ``{-nx/2, ..., nx/2 - 1}`` in FFT order.  This is numpy's
-  ``norm="forward"`` (scaled forward, unscaled inverse); every ``fft2`` and
-  ``ifft2`` in the package passes it instead of scaling by hand.
+  ``{-nx/2, ..., nx/2 - 1}`` in FFT order (numpy's ``norm="forward"``).
+* Transforms: ``Grid2D.to_physical`` (``irfft2``) and ``to_spectral``
+  (``rfft2``) are the package's only 2-D transforms.  Their spectral side must
+  be Hermitian, as a real field's is (``from_coefficients`` checks); a real odd
+  symbol makes it anti-Hermitian, hence ``1j * to_physical(-1j * symbol * c)``.
 * Quadrature: ``integral(u) = lx * ly * uhat[0, 0]`` and Parseval reads
   ``integral(|u|^2) = lx * ly * sum |uhat|^2``.
 * Nyquist rule: the index -n/2 has no partner +n/2, so every odd-order
@@ -128,6 +130,14 @@ class Grid2D:
         return ((self.jx != -(self.nx // 2))[:, None]
                 & (self.jy != -(self.ny // 2))[None, :])
 
+    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real samples (..., nx, ny) of Hermitian coefficients, full or half spectrum."""
+        return np.fft.irfft2(self.half_spectrum(coeffs), s=(self.nx, self.ny), norm="forward")
+
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients (..., nx, ny // 2 + 1) of real samples."""
+        return np.fft.rfft2(values, norm="forward")
+
     def half_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """The half-spectrum columns of (..., nx, ny) coefficients, a view."""
         return coeffs[..., : self.ny // 2 + 1]
@@ -175,14 +185,13 @@ class Field:
     def spectral(self) -> "Field":
         if self.space == "spectral":
             return self
-        coeffs = np.fft.fft2(self.data, norm="forward")
-        return Field(self.grid, coeffs, "spectral")
+        return Field(self.grid, self.grid.full_spectrum(self.grid.to_spectral(self.data)),
+                     "spectral")
 
     def physical(self) -> "Field":
         if self.space == "physical":
             return self
-        vals = np.fft.ifft2(self.data, norm="forward")
-        return Field(self.grid, np.real(vals), "physical")
+        return Field(self.grid, self.grid.to_physical(self.data), "physical")
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -204,7 +213,12 @@ def make_field(grid: Grid2D, values: np.ndarray) -> Field:
 
 
 def from_coefficients(grid: Grid2D, coeffs: np.ndarray) -> Field:
-    return Field(grid, np.asarray(coeffs, dtype=np.complex128), "spectral")
+    """Spectral field from the Hermitian series coefficients of a real field."""
+    field = Field(grid, np.asarray(coeffs, dtype=np.complex128), "spectral")
+    mirror = np.conj(np.roll(field.data[::-1, ::-1], 1, axis=(0, 1)))  # c(-zeta)*
+    if np.max(np.abs(field.data - mirror)) > 1e-12 * np.max(np.abs(field.data)):
+        raise DataError("coefficients must be Hermitian, c(-zeta) = conj c(zeta)")
+    return field
 
 
 def derivative(field: Field, ax: int, ay: int) -> Field:

@@ -59,7 +59,7 @@ class SpaceTimeField:
 
     def values(self) -> np.ndarray:
         """Physical samples of every frame, shape (K, nx, ny), real."""
-        return np.real(np.fft.ifft2(self.coeffs, axes=(1, 2), norm="forward"))
+        return self.grid.to_physical(self.coeffs)
 
     # -- temporal analysis ----------------------------------------------------
 

@@ -220,6 +220,11 @@ class TestPVariation:
             with pytest.raises(UsageError, match="finite"):
                 pvariation_norm(np.array([[0.0], [1.0], [3.0]]), p)
 
+    def test_list_samples_must_share_a_shape(self):
+        """Transposed frames have the same size but are not the same vectors."""
+        with pytest.raises(UsageError, match="common shape"):
+            pvariation_norm([np.zeros((2, 3)), np.ones((3, 2))], 2.0)
+
 
 class TestTwisted:
     def test_free_solution_gives_zero(self):

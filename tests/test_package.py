@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -40,3 +41,21 @@ def test_every_all_entry_exists():
 ])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+TRANSFORMS_2D = {"fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def test_only_spectral_calls_a_2d_transform():
+    """Grid2D.to_physical / to_spectral are the package's one 2-D transform pair."""
+    package = pathlib.Path(zklab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in TRANSFORMS_2D]
+    assert found == []

@@ -6,19 +6,27 @@ integrals, hand convolutions, or brute-force sums over the integer lattice.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import (
     DataError,
+    DispersionForm,
     Field,
     Grid2D,
     UsageError,
     dealias,
     dealias_mask,
     derivative,
+    energy,
     from_coefficients,
     make_field,
     make_grid,
 )
+from zklab.ic import PRESETS, shell_field
+
+BOXES = dict(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+             lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+             seed=st.integers(0, 2 ** 32 - 1))
 
 
 def grid(nx=16, ny=16, lx=2 * np.pi, ly=2 * np.pi):
@@ -225,3 +233,75 @@ class TestDealias:
                 expected[a, b] = acc
         assert np.allclose(got, expected, atol=1e-14)
 
+
+
+def hermitian_coeffs(g, rng, lead=()):
+    """Series coefficients of real white noise, by numpy's complex fft2."""
+    return np.fft.fft2(rng.standard_normal(lead + (g.nx, g.ny)), norm="forward")
+
+
+class TestTransformPair:
+    """Grid2D.to_physical / to_spectral against test-local complex transforms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BOXES, lead=st.sampled_from([(), (3,), (2, 3)]))
+    def test_to_physical(self, nx, ny, lx, ly, seed, lead):
+        g = make_grid(nx, ny, lx, ly)
+        coeffs = hermitian_coeffs(g, np.random.default_rng(seed), lead)
+        got = g.to_physical(coeffs)
+        np.testing.assert_array_equal(got, g.to_physical(g.half_spectrum(coeffs).copy()))
+        want = np.real(np.fft.ifft2(coeffs, norm="forward"))
+        assert got.shape == want.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BOXES, lead=st.sampled_from([(), (3,), (2, 3)]))
+    def test_to_spectral(self, nx, ny, lx, ly, seed, lead):
+        g = make_grid(nx, ny, lx, ly)
+        values = np.random.default_rng(seed).standard_normal(lead + (nx, ny))
+        half = g.to_spectral(values)
+        assert half.shape == lead + (nx, ny // 2 + 1)
+        want = np.fft.fft2(values, norm="forward")
+        np.testing.assert_allclose(g.full_spectrum(half), want, rtol=0.0,
+                                   atol=1e-14 * np.abs(want).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BOXES, form=st.sampled_from(list(DispersionForm)))
+    def test_energy_matches_three_transforms(self, nx, ny, lx, ly, seed, form):
+        g = make_grid(nx, ny, lx, ly)
+        c = hermitian_coeffs(g, np.random.default_rng(seed)) * dealias_mask(g)
+
+        def phys(a):
+            return np.real(np.fft.ifft2(a, norm="forward"))
+
+        u, ux, uy = phys(c), phys(1j * g.xi_odd[:, None] * c), phys(1j * g.eta_odd * c)
+        gradient = ux ** 2 + uy ** 2 - (ux * uy if form is DispersionForm.SYMMETRIZED else 0.0)
+        want = np.sum(0.5 * gradient - u ** 3 / 3.0) * g.cell_area
+        scale = np.sum(0.5 * np.abs(gradient) + np.abs(u) ** 3 / 3.0) * g.cell_area
+        assert abs(energy(from_coefficients(g, c), form) - want) <= 1e-14 * scale
+
+
+class TestHermitianContract:
+    """from_coefficients accepts exactly the coefficients of real fields."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BOXES, j=st.integers(0, 63), k=st.integers(0, 63))
+    def test_non_hermitian_rejected(self, nx, ny, lx, ly, seed, j, k):
+        g = make_grid(nx, ny, lx, ly)
+        c = hermitian_coeffs(g, np.random.default_rng(seed))
+        c[j % nx, k % ny] += 1e-9 * np.abs(c).max() * (1.0 + 1.0j)
+        with pytest.raises(DataError, match="Hermitian"):
+            from_coefficients(g, c)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**BOXES)
+    def test_every_generator_passes(self, nx, ny, lx, ly, seed):
+        g = make_grid(nx, ny, lx, ly)
+        fields = [PRESETS[name](g) for name in PRESETS if name != "random"]
+        fields.append(PRESETS["random"](g, seed))
+        try:
+            fields.append(shell_field(g, 0.5 * g.band_radius, seed))
+        except DataError:  # no lattice mode on the shell of this box
+            pass
+        for u in fields:
+            from_coefficients(g, u.coeffs)
