@@ -69,25 +69,32 @@ def _drift(a: float, b: float) -> float:
 def _ensemble_report(estimate: str, one, base: tuple, other: tuple, samples: int,
                      seed: int, params: dict, caveat: str = TORUS_CAVEAT) -> ProbeReport:
     """Median of ``one(*base, i)`` over the samples, drifted against ``one(*other, i)``."""
-    ratios = [one(*base, i) for i in range(samples)]
-    med = float(np.median(ratios))
-    companion = float(np.median([one(*other, i) for i in range(samples)]))
+    ratios, others = ([one(*rung, i) for i in range(samples)] for rung in (base, other))
+    med, companion = float(np.median(ratios)), float(np.median(others))
+    for rung, value in ((base, med), (other, companion)):
+        if not value > 0:
+            raise ResolutionError(f"{estimate}: median ratio {value:g} at rung {rung}; need > 0")
     return ProbeReport(estimate=estimate, params=params, lhs=med, rhs=1.0, ratio=med,
                        spread=_stats(ratios), drift=_drift(med, companion), seed=seed,
                        caveat=caveat)
 
 
-def _frame_step(span: float, frames: int) -> float:
-    if frames < 2:
-        raise UsageError(f"frames must be at least 2 (the window endpoints), got {frames}")
-    return span / (frames - 1)
-
-
 def _free_trajectory(u0: Field, form: DispersionForm, span: float,
                      frames: int) -> SpaceTimeField:
-    dt = _frame_step(span, frames)
-    phase = spectral_kernel(u0.grid, form).phase(dt * np.arange(frames))
-    return SpaceTimeField(u0.grid, 0.0, dt, phase * u0.spectral().coeffs[None])
+    """Free wave from u0 at ``frames`` uniform times, phased on u0's support only."""
+    if frames < 2:
+        raise UsageError(f"frames must be at least 2 (the window endpoints), got {frames}")
+    dt, support = span / (frames - 1), u0.coeffs != 0
+    coeffs = np.zeros((frames,) + support.shape, dtype=np.complex128)
+    coeffs[:, support] = (spectral_kernel(u0.grid, form).phase(dt * np.arange(frames), support)
+                          * u0.coeffs[support])
+    return SpaceTimeField(u0.grid, 0.0, dt, coeffs)
+
+
+def _windowed_l2(traj: SpaceTimeField, sq_norms: np.ndarray) -> float:
+    """mixed_lebesgue_norm(traj.windowed(), 2, 2) from the frames' squared L2 norms."""
+    weights = trapezoid_weights(traj.num_frames, traj.dt) * traj.window ** 2
+    return float(np.sqrt(np.sum(weights * sq_norms)))
 
 
 def _doubled(grid: Grid2D) -> Grid2D:
@@ -99,9 +106,8 @@ def _doubled(grid: Grid2D) -> Grid2D:
 def _free_wave_norm(u0: Field, form: DispersionForm, weight, q: float, r: float,
                     span: float, frames: int) -> float:
     """Windowed L^q_t L^r_xy norm of the free wave from u0 times ``weight(grid)``."""
-    traj = _free_trajectory(u0, form, span, frames)
-    weighted = SpaceTimeField(u0.grid, 0.0, traj.dt, traj.coeffs * weight(u0.grid))
-    return mixed_lebesgue_norm(weighted.windowed(), q, r)
+    traj = _free_trajectory(u0.multiplier(weight(u0.grid)), form, span, frames)
+    return mixed_lebesgue_norm(traj.windowed(), q, r)
 
 
 def _free_wave_report(estimate: str, form: DispersionForm, weight, q: float, r: float,
@@ -118,8 +124,7 @@ def _free_wave_report(estimate: str, form: DispersionForm, weight, q: float, r: 
 
     params = {"nx": grid.nx, "span": span, "frames": frames, "samples": samples,
               "kmax": kmax, **params}
-    return _ensemble_report(estimate, one, (grid,), (_doubled(grid),), samples,
-                            seed, params)
+    return _ensemble_report(estimate, one, (grid,), (_doubled(grid),), samples, seed, params)
 
 
 def strichartz_probe(q: float, r: float, grid: Grid2D, samples: int = 32,
@@ -185,13 +190,11 @@ def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
                          "(at least two octaves: N2 >= 4 N1); swap the roles")
 
     def one(n_lo: float, n_hi: float, i: int) -> float:
-        u0 = shell_field(grid, n_lo, seed + 2 * i)
-        v0 = shell_field(grid, n_hi, seed + 2 * i + 1)
-        tu = _free_trajectory(u0, DispersionForm.ORIGINAL, span, frames)
-        tv = _free_trajectory(v0, DispersionForm.ORIGINAL, span, frames)
-        coeffs = grid.full_spectrum(grid.to_spectral(tu.values() * tv.values()))
-        stf = SpaceTimeField(grid, 0.0, tu.dt, coeffs)
-        lhs = mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0)
+        tu, tv = (_free_trajectory(shell_field(grid, n, seed + 2 * i + d),
+                                   DispersionForm.ORIGINAL, span, frames)
+                  for d, n in enumerate((n_lo, n_hi)))
+        prod = tu.values() * tv.values()
+        lhs = _windowed_l2(tu, np.sum(prod * prod, axis=(1, 2)) * grid.cell_area)
         return lhs * n_hi / np.sqrt(n_lo)
 
     return _shell_pair_report("bilinear-lowhigh", one, n1, n2, grid, samples, seed,
@@ -204,38 +207,34 @@ def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
                       seed: int = 0, span: float = 1.0, frames: int = 17) -> ProbeReport:
     """Half-derivative difference-weighted products of free waves vs N2^{1/2}.
 
-    The bilinear symbol |xi_1 - xi_2|^{1/2} |xi_1 + xi_2|^{1/2} cannot factor
-    through a single multiplier, so each frame's pair sum over the two shells'
-    modes is scattered onto the doubled frequency lattice, and the windowed
-    space-time L2 of that field is the left side.  Both factors are
-    symmetrized free waves from ``_free_trajectory``.
+    The symbol |xi_1 - xi_2|^{1/2} |xi_1 + xi_2|^{1/2} depends only on the
+    x-rows (j1, j2), so each factor's rows go to y-space by a 1-D transform,
+    zero-padded to the product's column range so nothing wraps, and output
+    row j sums row j1 of one factor times row j - j1 of the other, weighted.
+    Its spatial L2 is Parseval in y summed over rows; the windowed time L2 of
+    that is the left side.  Both factors are symmetrized free waves.
     """
     if n2 > n1:
         raise UsageError("this probe requires N2 <= N1; swap the arguments")
-    doubled = _doubled(grid)
 
     def one(n_big: float, n_small: float, i: int) -> float:
-        u0 = shell_field(grid, n_big, seed + 2 * i)
-        v0 = shell_field(grid, n_small, seed + 2 * i + 1)
-        i1, k1 = np.nonzero(u0.coeffs)
-        i2, k2 = np.nonzero(v0.coeffs)
-        a = _free_trajectory(u0, DispersionForm.SYMMETRIZED, span, frames)
-        b = _free_trajectory(v0, DispersionForm.SYMMETRIZED, span, frames)
-        xi1, xi2 = grid.xi[i1][:, None], grid.xi[i2][None, :]
+        fields = [shell_field(grid, n, seed + 2 * i + d) for d, n in enumerate((n_big, n_small))]
+        # the index ranges of the rows j and columns k that each factor's modes span
+        (j1, k1), (j2, k2) = spans = [[np.arange(m.min(), m.max() + 1) for m in (
+            grid.jx[f.coeffs.any(axis=1)], grid.jy[f.coeffs.any(axis=0)])] for f in fields]
+        size = len(k1) + len(k2) - 1
+        trajs = [_free_trajectory(f, DispersionForm.SYMMETRIZED, span, frames) for f in fields]
+        a, b = (np.zeros((len(j), frames, size), dtype=np.complex128) for j, _ in spans)
+        for rows, traj, (j, k) in zip((a, b), trajs, spans):
+            rows[..., k % size] = traj.coeffs[:, j % grid.nx][..., k % grid.ny].swapaxes(0, 1)
+            rows[:] = np.fft.ifft(rows, axis=-1, norm="forward")
+        out = np.zeros((len(j1) + len(j2) - 1, frames, size), dtype=np.complex128)
+        xi1, xi2 = grid.xi[j1 % grid.nx][:, None], grid.xi[j2 % grid.nx]
         weight = np.abs(xi1 - xi2) ** 0.5 * np.abs(xi1 + xi2) ** 0.5
-        # shell data are dealiased (|j| <= nx/3), so |j1 + j2| < nx: the pair
-        # sums never wrap on the doubled lattice
-        jsum = (grid.jx[i1][:, None] + grid.jx[i2][None, :]) % doubled.nx
-        ksum = (grid.jy[k1][:, None] + grid.jy[k2][None, :]) % doubled.ny
-        flat = (jsum * doubled.ny + ksum).ravel()
-        pairs = np.zeros((frames, doubled.nx * doubled.ny), dtype=np.complex128)
-        for l in range(frames):
-            np.add.at(pairs[l], flat,
-                      (weight * np.multiply.outer(a.coeffs[l, i1, k1],
-                                                  b.coeffs[l, i2, k2])).ravel())
-        stf = SpaceTimeField(doubled, 0.0, a.dt,
-                             pairs.reshape(frames, doubled.nx, doubled.ny))
-        return mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0) / np.sqrt(n_small)
+        for m in range(len(j1)):  # out[m + n] is row j1[m] + j2[n]
+            out[m:m + len(j2)] += weight[m, :, None, None] * b * a[m]
+        sq = np.sum(out.real ** 2 + out.imag ** 2, axis=(0, 2)) * (grid.area / size)
+        return _windowed_l2(trajs[0], sq) / np.sqrt(n_small)
 
     return _shell_pair_report("gh-bilinear", one, n1, n2, grid, samples, seed,
                               span, frames)

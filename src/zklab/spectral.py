@@ -163,8 +163,9 @@ class Field:
     """A scalar field on a Grid2D, in physical or spectral representation.
 
     Physical data are real float64 samples; spectral data are complex128
-    series coefficients with Hermitian symmetry (real underlying field).
-    Instances are immutable; conversions return new objects.
+    series coefficients trusted to be Hermitian (a real field), which only
+    ``from_coefficients`` checks: here the check would cost 0.15 ms at 128^2
+    on every ETDRK4 step (about 2 ms).  Immutable; conversions return new objects.
     """
 
     grid: Grid2D

@@ -93,6 +93,17 @@ class TestExitCodes:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_vanishing_probe_rung_is_2(self, tmp_path, capsys):
+        # every lattice pair of these shells has xi_1 = +-xi_2, so the
+        # gh-bilinear symbol is 0: no ratio, no drift, no manifest
+        code = run(tmp_path, "probe", "--estimate", "gh-bilinear", "--nx", "64",
+                   "--ny", "16", "--lx", "5", "--ly", "2", "--N1", "2", "--N2", "2",
+                   "--samples", "2", "--frames", "9")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gh-bilinear" in err and "(2.0, 2.0)" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_instability_is_3(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(tmp_path, "simulate", "--nx", "16", "--preset",

@@ -24,8 +24,13 @@ from zklab import (
     xsb_norm,
     y_half_proxy,
 )
+from hypothesis import given, settings, strategies as st
+
 from zklab.dynamics import spectral_kernel
-from zklab.ic import random_band_limited
+from zklab.ic import random_band_limited, shell_field
+from zklab.norms import mixed_lebesgue_norm
+from zklab.probes import _free_trajectory
+from zklab.spectral import Grid2D, dealias_mask, from_coefficients
 from zklab.trajectory import SpaceTimeField, modulation_project
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
@@ -262,3 +267,97 @@ class TestFrameCount:
         with pytest.raises(UsageError, match="frames"):
             call(1)
         assert call(2).ratio >= 0
+
+
+class TestFreeTrajectorySupport:
+    """The free wave is phased on u0's support only; off it the coefficients are 0."""
+
+    @staticmethod
+    def _data(g, kind, seed):
+        if kind == "band":
+            return random_band_limited(g, seed)
+        rng = np.random.default_rng(seed)
+        live = np.flatnonzero(dealias_mask(g) & (g.abs_zeta > 0))
+        j, k = np.unravel_index(rng.choice(live), (g.nx, g.ny))
+        if kind == "shell":  # the octave annulus through one in-band mode is never empty
+            return shell_field(g, g.abs_zeta[j, k], seed)
+        coeffs = np.zeros((g.nx, g.ny), dtype=np.complex128)
+        coeffs[j, k] = coeffs[-j, -k] = 0.5
+        return from_coefficients(g, coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(DispersionForm)),
+           kind=st.sampled_from(["band", "shell", "mode"]),
+           span=st.floats(0.01, 4.0), frames=st.integers(2, 9))
+    def test_bit_equal_to_the_full_lattice_phase(self, nx, ny, lx, ly, seed, form,
+                                                  kind, span, frames):
+        g = make_grid(nx, ny, lx, ly)
+        u0 = self._data(g, kind, seed)
+        traj = _free_trajectory(u0, form, span, frames)
+        full = spectral_kernel(g, form).phase(traj.dt * np.arange(frames)) * u0.coeffs
+        assert np.array_equal(traj.coeffs, full)
+
+
+# The left sides as computed before the probes worked on the data's support:
+# full-lattice phases, gh-bilinear pair sums scattered onto the doubled lattice
+# with np.add.at, and the bilinear product taken through the spectral side.
+def _full_lattice_wave(u0, form, span, frames):
+    dt = span / (frames - 1)
+    phase = spectral_kernel(u0.grid, form).phase(dt * np.arange(frames))
+    return SpaceTimeField(u0.grid, 0.0, dt, phase * u0.coeffs[None])
+
+
+def _gh_reference(n_big, n_small, grid, seed, span, frames):
+    doubled = Grid2D(2 * grid.nx, 2 * grid.ny, grid.lx, grid.ly)
+    u0, v0 = shell_field(grid, n_big, seed), shell_field(grid, n_small, seed + 1)
+    i1, k1 = np.nonzero(u0.coeffs)
+    i2, k2 = np.nonzero(v0.coeffs)
+    a = _full_lattice_wave(u0, DispersionForm.SYMMETRIZED, span, frames)
+    b = _full_lattice_wave(v0, DispersionForm.SYMMETRIZED, span, frames)
+    xi1, xi2 = grid.xi[i1][:, None], grid.xi[i2][None, :]
+    weight = np.abs(xi1 - xi2) ** 0.5 * np.abs(xi1 + xi2) ** 0.5
+    jsum = (grid.jx[i1][:, None] + grid.jx[i2][None, :]) % doubled.nx
+    ksum = (grid.jy[k1][:, None] + grid.jy[k2][None, :]) % doubled.ny
+    flat = (jsum * doubled.ny + ksum).ravel()
+    pairs = np.zeros((frames, doubled.nx * doubled.ny), dtype=np.complex128)
+    for l in range(frames):
+        np.add.at(pairs[l], flat, (weight * np.multiply.outer(a.coeffs[l, i1, k1],
+                                                              b.coeffs[l, i2, k2])).ravel())
+    stf = SpaceTimeField(doubled, 0.0, a.dt, pairs.reshape(frames, doubled.nx, doubled.ny))
+    return mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0) / np.sqrt(n_small)
+
+
+def _bilinear_reference(n_lo, n_hi, grid, seed, span, frames):
+    tu = _full_lattice_wave(shell_field(grid, n_lo, seed), DispersionForm.ORIGINAL,
+                            span, frames)
+    tv = _full_lattice_wave(shell_field(grid, n_hi, seed + 1), DispersionForm.ORIGINAL,
+                            span, frames)
+    coeffs = grid.full_spectrum(grid.to_spectral(tu.values() * tv.values()))
+    stf = SpaceTimeField(grid, 0.0, tu.dt, coeffs)
+    return mixed_lebesgue_norm(stf.windowed(), 2.0, 2.0) * n_hi / np.sqrt(n_lo)
+
+
+REFERENCE_GRIDS = [make_grid(32, 32, 2 * np.pi, 2 * np.pi),
+                   make_grid(32, 64, 2 * np.pi, 3 * np.pi),
+                   make_grid(64, 16, 5.0, 2.0)]
+
+
+class TestLeftSidesMatchTheReference:
+    """One sample's report lhs is that sample's left side, so it must match."""
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["32x32", "32x64", "64x16"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_gh_bilinear(self, grid, seed):
+        rep = gh_bilinear_probe(4.0, 2.0, grid, samples=1, seed=seed, frames=9)
+        ref = _gh_reference(4.0, 2.0, grid, seed, 1.0, 9)
+        assert ref > 0
+        assert rep.lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["32x32", "32x64", "64x16"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bilinear(self, grid, seed):
+        rep = bilinear_probe(2.0, 8.0, grid, samples=1, seed=seed, frames=9)
+        ref = _bilinear_reference(2.0, 8.0, grid, seed, 1.0, 9)
+        assert rep.lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
