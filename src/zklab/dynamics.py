@@ -160,6 +160,13 @@ class SolverState:
                 f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
 
 
+def scaled_l2(values: np.ndarray, weight: float) -> float:
+    """sqrt(weight * sum |values|^2), scaled by the largest modulus to stay finite."""
+    mod = np.abs(values)
+    top = mod.max()
+    return float(top * np.sqrt(weight * np.sum((mod / top) ** 2))) if top > 0 else 0.0
+
+
 def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     """One ETDRK4 step with the tableau of (grid, state.dt, state.form), taken
     on the half spectrum; raises InstabilityError on non-finite output."""
@@ -176,13 +183,10 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     nc = nonlinear(c)
     new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
     if not np.all(np.isfinite(new)):
-        # scaled by the largest modulus, so a last state near overflow keeps a finite norm
-        mod = np.abs(state.field.coeffs)
-        top = mod.max()
-        l2 = float(top * np.sqrt(grid.area * np.sum((mod / top) ** 2))) if top > 0 else 0.0
         raise InstabilityError(
             f"non-finite state at t = {state.t + state.dt:.6g}",
-            last_diagnostics={"t": state.t, "steps": state.steps, "l2": l2})
+            last_diagnostics={"t": state.t, "steps": state.steps,
+                              "l2": scaled_l2(state.field.coeffs, grid.area)})
     return replace(state, field=Field(grid, grid.full_spectrum(new), "spectral"),
                    t=state.t + state.dt, steps=state.steps + 1)
 
@@ -199,29 +203,29 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     from .trajectory import SpaceTimeField
 
     grid = u0.grid
-    u0 = u0.spectral()
     if t_final < 0:
         raise UsageError("t_final must be non-negative")
     if sample_every < 1:
         raise UsageError("sample_every must be a positive integer")
-    frames = [u0.coeffs * spectral_kernel(grid, form).mask]
-    if diagnostics is not None:
-        diagnostics(0.0, Field(grid, frames[0], "spectral"))
-    if t_final == 0:
-        return SpaceTimeField(grid, 0.0, dt * sample_every, np.stack(frames))
-
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-8 * max(dt, t_final) or n_steps == 0:
+    n_steps = int(round(t_final / dt)) if t_final != 0 else 0
+    if t_final != 0 and (abs(n_steps * dt - t_final) > 1e-8 * max(dt, t_final) or n_steps == 0):
         raise UsageError(f"t_final = {t_final} is not a whole number of steps of dt = {dt}")
     if n_steps % sample_every != 0:
         raise UsageError("t_final / dt must be divisible by sample_every")
 
-    state = SolverState(Field(grid, frames[0], "spectral"), 0.0, dt, form)
-    tab = etdrk4_tableau(grid, dt, form)
-    for k in range(1, n_steps + 1):
-        state = step_etdrk4(state, tab)
-        if k % sample_every == 0:
-            frames.append(state.field.coeffs)
-            if diagnostics is not None:
-                diagnostics(state.t, state.field)
-    return SpaceTimeField(grid, 0.0, dt * sample_every, np.stack(frames))
+    frames = np.empty((n_steps // sample_every + 1, grid.nx, grid.ny), dtype=np.complex128)
+    frames[0] = u0.coeffs * spectral_kernel(grid, form).mask
+    if diagnostics is not None:
+        diagnostics(0.0, Field(grid, frames[0], "spectral"))
+    if n_steps:
+        state = SolverState(Field(grid, frames[0], "spectral"), 0.0, dt, form)
+        tab = etdrk4_tableau(grid, dt, form)
+        for k in range(1, n_steps + 1):
+            # keep the previous state alive one more step: freeing it at once lets glibc
+            # trim the heap top after every step, and the stepper's arrays fault back in
+            prev, state = state, step_etdrk4(state, tab)
+            if k % sample_every == 0:
+                frames[k // sample_every] = state.field.coeffs
+                if diagnostics is not None:
+                    diagnostics(state.t, state.field)
+    return SpaceTimeField(grid, 0.0, dt * sample_every, frames)

@@ -14,9 +14,9 @@ Galerkin flow:
 with the convention Lambda_k(m; u) = lx*ly * sum over the zero-sum lattice
 hyperplane of m * prod uhat(zeta_j).  The M3 and M4 pair frequencies carry
 the 2/3-band indicator of the solver's dealiasing, which is what makes the
-identity exact for the discrete flow up to time quadrature.  The factored
-evaluators band-check each distinct input once and transform it at most once
-per transform they need; the 2/3 mask is the shared spectral kernel's.
+identity exact for the discrete flow up to time quadrature.  Invariants and
+forms are read off the coefficients by discrete Parseval; only the factors of
+pointwise products are transformed (``_factored_forms``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
 from .quadrature import definite_integral
 from .scaling import rescale
-from .spectral import Field, Grid2D, dealias, derivative
+from .spectral import Field, Grid2D, dealias
 from .trajectory import SpaceTimeField
 
 __all__ = ["IMultiplier", "MultilinearSymbol", "IncrementReport", "ScanResult",
@@ -96,18 +96,28 @@ def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> floa
     invariant has u_x^2 - u_x u_y + u_y^2 in place of |grad u|^2, because
     d_x^3 + d_y^3 = (d_x + d_y)(d_x^2 - d_x d_y + d_y^2).
 
-    Evaluated on the 2/3-dealiased representative, for which the cubic
-    lattice quadrature is exact; this is the quantity the dealiased Galerkin
-    flow conserves up to integrator error.
+    Evaluated on the 2/3-dealiased representative, for which the lattice
+    quadrature is exact; this is the quantity the dealiased Galerkin flow
+    conserves up to integrator error.  The gradient term is a weighted sum of
+    |uhat|^2 (Parseval) and the cubic term takes one transform.
     """
-    u = field.multiplier(spectral_kernel(field.grid, form).mask)
-    vals, ux, uy = field.grid.to_physical(
-        np.stack([u.coeffs, derivative(u, 1, 0).coeffs, derivative(u, 0, 1).coeffs]))
-    gradient = ux * ux + uy * uy
-    if form is DispersionForm.SYMMETRIZED:
-        gradient = gradient - ux * uy
-    density = 0.5 * gradient - vals * vals * vals / 3.0
-    return float(np.sum(density) * field.grid.cell_area)
+    u = field.coeffs * spectral_kernel(field.grid, form).mask
+    return _energy(field.grid, form, u, field.grid.to_physical(u))
+
+
+def _energy(grid: Grid2D, form: DispersionForm, coeffs: np.ndarray, vals: np.ndarray) -> float:
+    """E of in-band coefficients whose physical samples are ``vals``."""
+    xi, eta = grid.xi_odd[:, None], grid.half_spectrum(grid.eta_odd)
+    gradient = xi * xi + eta * eta - (xi * eta if form is DispersionForm.SYMMETRIZED else 0.0)
+    half = grid.half_spectrum(coeffs)
+    return float(0.5 * _half_sum(grid, gradient * (half.real ** 2 + half.imag ** 2))
+                 - np.sum(vals * vals * vals) * grid.cell_area / 3.0)
+
+
+def _half_sum(grid: Grid2D, x: np.ndarray) -> np.ndarray:
+    """area * sum over the full lattice of an even real array given on the half
+    spectrum (any leading axes): all but its first and last columns occur twice."""
+    return grid.area * (2.0 * np.sum(x, axis=(-2, -1)) - np.sum(x[..., 0] + x[..., -1], axis=-1))
 
 
 def modified_energy(field: Field, mult: IMultiplier) -> float:
@@ -135,21 +145,6 @@ class MultilinearSymbol:
         return self.fn(xis, etas)
 
 
-def _require_band(field: Field, mask: np.ndarray, what: str) -> np.ndarray:
-    coeffs = field.coeffs
-    if np.any(coeffs[~mask] != 0):
-        raise DataError(f"{what} requires input with no content outside the "
-                        "2/3 dealias band; apply dealias() first")
-    return coeffs
-
-
-def _once_each(items, fn) -> list:
-    """fn of each slot, evaluated once per distinct item (by identity)."""
-    done = {id(x): x for x in items}
-    done = {key: fn(x) for key, x in done.items()}
-    return [done[id(x)] for x in items]
-
-
 def _as_field_list(fields, arity: int) -> list[Field]:
     if isinstance(fields, Field):
         return [fields] * arity
@@ -164,43 +159,24 @@ def _as_field_list(fields, arity: int) -> list[Field]:
 
 def _direct_lambda(fields: list[Field], symbol: MultilinearSymbol) -> complex:
     """Direct zero-sum hyperplane summation (no wraparound; off-lattice
-    index combinations are dropped).  Cost O(n^(2(k-1)))."""
+    index combinations are dropped).  Cost O(n^(2(k-1))): the last three slots
+    are summed as arrays, for arity 4 once per non-zero mode of the first."""
     grid = fields[0].grid
     nx, ny = grid.nx, grid.ny
     jj, kk = np.repeat(grid.jx, ny), np.tile(grid.jy, nx)
     flats = [f.coeffs.reshape(-1) for f in fields]
     sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
-
-    if symbol.arity == 3:
-        j1, j2 = jj[:, None], jj[None, :]
-        k1, k2 = kk[:, None], kk[None, :]
-        j3, k3 = -(j1 + j2), -(k1 + k2)
-        valid = (j3 >= -nx // 2) & (j3 <= nx // 2 - 1) & \
-                (k3 >= -ny // 2) & (k3 <= ny // 2 - 1)
-        idx3 = (j3 % nx) * ny + (k3 % ny)
-        vals = symbol([sx * j1, sx * j2, sx * j3], [sy * k1, sy * k2, sy * k3])
-        prod = flats[0][:, None] * flats[1][None, :] * flats[2][idx3]
-        return grid.area * complex(np.sum(np.where(valid, vals * prod, 0.0)))
-
-    if symbol.arity == 4:
-        total = 0.0 + 0.0j
-        j2, j3 = jj[:, None], jj[None, :]
-        k2, k3 = kk[:, None], kk[None, :]
-        for i1 in range(nx * ny):
-            if flats[0][i1] == 0:
-                continue
-            j1, k1 = jj[i1], kk[i1]
-            j4, k4 = -(j1 + j2 + j3), -(k1 + k2 + k3)
-            valid = (j4 >= -nx // 2) & (j4 <= nx // 2 - 1) & \
-                    (k4 >= -ny // 2) & (k4 <= ny // 2 - 1)
-            idx4 = (j4 % nx) * ny + (k4 % ny)
-            vals = symbol([sx * j1, sx * j2, sx * j3, sx * j4],
-                          [sy * k1, sy * k2, sy * k3, sy * k4])
-            prod = flats[1][:, None] * flats[2][None, :] * flats[3][idx4]
-            total += flats[0][i1] * np.sum(np.where(valid, vals * prod, 0.0))
-        return grid.area * complex(total)
-
-    raise UsageError(f"direct evaluation supports arity 3 or 4, got {symbol.arity}")
+    ja, jb, ka, kb = jj[:, None], jj[None, :], kk[:, None], kk[None, :]
+    total = 0.0 + 0.0j
+    for lead in [()] if symbol.arity == 3 else [(i,) for i in np.flatnonzero(flats[0])]:
+        jl = -(sum(jj[i] for i in lead) + ja + jb)
+        kl = -(sum(kk[i] for i in lead) + ka + kb)
+        valid = (jl >= -nx // 2) & (jl <= nx // 2 - 1) & (kl >= -ny // 2) & (kl <= ny // 2 - 1)
+        vals = symbol([sx * jj[i] for i in lead] + [sx * ja, sx * jb, sx * jl],
+                      [sy * kk[i] for i in lead] + [sy * ka, sy * kb, sy * kl])
+        prod = flats[-3][:, None] * flats[-2][None, :] * flats[-1][(jl % nx) * ny + kl % ny]
+        total += np.prod([flats[0][i] for i in lead]) * np.sum(np.where(valid, vals * prod, 0.0))
+    return grid.area * complex(total)
 
 
 def _lambda(arity: int, fields, symbol: MultilinearSymbol, method: str) -> complex:
@@ -227,9 +203,9 @@ def lambda4(fields, symbol: MultilinearSymbol, method: str = "auto") -> complex:
 def increment_symbols(mult: IMultiplier, grid: Grid2D):
     """The (M3, M4) pair of the modified-energy increment identity.
 
-    Both carry factored fast evaluators (a handful of FFTs); the pointwise
-    ``fn`` is what the direct oracle sums.  Pair frequencies at the unpaired
-    Nyquist line use the package-wide zeroed-odd-symbol convention.
+    Both carry factored fast evaluators (``_factored_forms``); the pointwise
+    ``fn`` is what the direct oracle sums.  Pair frequencies outside the 2/3
+    band, the unpaired Nyquist line among them, are gated to zero.
     """
     jmax_x, jmax_y = grid.band_index
     sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
@@ -238,10 +214,6 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D):
         j = np.rint(np.asarray(xi_sum) / sx)
         k = np.rint(np.asarray(eta_sum) / sy)
         return ((np.abs(j) <= jmax_x) & (np.abs(k) <= jmax_y)).astype(np.float64)
-
-    def xi_nyq(xi_sum):
-        j = np.rint(np.asarray(xi_sum) / sx)
-        return np.where(np.abs(j) == grid.nx // 2, 0.0, xi_sum)
 
     def m(xis, etas):
         return mult.weight(np.hypot(xis, etas))
@@ -255,41 +227,70 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D):
     def m4_fn(xis, etas):
         xs, es = xis[0] + xis[1], etas[0] + etas[1]
         gate = pair_gate(xs, es)
-        return xi_nyq(xs) * m(xs, es) * gate / (m(xis[0], etas[0]) * m(xis[1], etas[1]))
+        return xs * m(xs, es) * gate / (m(xis[0], etas[0]) * m(xis[1], etas[1]))
 
-    mask = spectral_kernel(grid, DispersionForm.ORIGINAL).mask
-    msym = mult.symbol(grid)
+    m3_factored, m4_factored, _ = _factored_forms(mult, grid)
+    return (MultilinearSymbol(3, m3_fn, name="increment-M3", factored=m3_factored),
+            MultilinearSymbol(4, m4_fn, name="increment-M4", factored=m4_factored))
+
+
+def _factored_forms(mult: IMultiplier, grid: Grid2D):
+    """Lambda3 and Lambda4 of field lists, and Im of both for (K, nx, ny) frames.
+
+    For W the coefficients of I u, V = W / m and the pair products S = (W_p W_p)^,
+    P = (V_p V_p)^ of physical samples, discrete Parseval gives Lambda3 = area sum
+    (dx_lap W) conj(S - m_band P) and Lambda4 = area sum (xi m_band P) conj(S) over the
+    lattice.  The symbols are real and odd, so the summands are anti-Hermitian: the forms
+    are imaginary and Im of a summand is even (``_half_sum``).  The 2/3 gate of m_band is
+    a no-op on the zero-sum hyperplane of M3 but discards pair products that would wrap.
+    """
+    mask, msym = spectral_kernel(grid, DispersionForm.ORIGINAL).mask, mult.symbol(grid)
     dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
-    # the band mask is a no-op on the zero-sum hyperplane of M3 (the pair
-    # frequency equals -zeta_1, already in band) but discards products that
-    # would otherwise wrap around the lattice; both pair symbols are half-spectrum
-    m_band = grid.half_spectrum(msym * mask)
-    m4_pair = grid.xi_odd[:, None] * m_band
+    m, dx_lap, m_band = map(grid.half_spectrum, (msym, dx_lap, msym * mask))
 
-    # dx_lap and m4_pair are real and odd: 1j * to_physical(-1j * ...) (spectral docstring)
+    def band_half(coeffs, what):
+        if np.any(coeffs[..., ~mask]):
+            raise DataError(f"{what} requires input with no content outside the "
+                            "2/3 dealias band; apply dealias() first")
+        return grid.half_spectrum(coeffs)
+
+    def pair(a, b):  # (a_p b_p)^, transforming a once when b is a
+        ap = grid.to_physical(a)
+        return grid.to_spectral(ap * (ap if b is a else grid.to_physical(b)))
+
+    def lambda3(w, s, p):
+        return _half_sum(grid, np.imag(dx_lap * w * np.conj(s - m_band * p)))
+
+    def lambda4(s, p):
+        return _half_sum(grid, np.imag(grid.xi_odd[:, None] * m_band * p * np.conj(s)))
+
+    def inputs(fields, what):  # W and V of each slot, checked and divided once per field
+        w = {id(f): band_half(f.coeffs, what) for f in fields}
+        v = {key: c / m for key, c in w.items()}
+        return [w[id(f)] for f in fields], [v[id(f)] for f in fields]
+
     def m3_factored(fields):
-        w = _once_each(fields, lambda f: _require_band(f, mask, "lambda3 (factored)"))
-        gp = 1j * grid.to_physical(-1j * dx_lap * w[0])
-        w2p, w3p = _once_each(w[1:], grid.to_physical)
-        term_a = np.sum(gp * (w2p * w3p)) * grid.cell_area
-        v2p, v3p = _once_each(w[1:], lambda c: grid.to_physical(c / msym))
-        pair_hat = grid.to_spectral(v2p * v3p) * m_band
-        term_b = np.sum(gp * grid.to_physical(pair_hat)) * grid.cell_area
-        return complex(term_a - term_b)
+        w, v = inputs(fields, "lambda3 (factored)")
+        return complex(0.0, lambda3(w[0], pair(*w[1:]), pair(*v[1:])))
 
     def m4_factored(fields):
-        w = _once_each(fields, lambda f: _require_band(f, mask, "lambda4 (factored)"))
-        v1p, v2p = _once_each(w[:2], lambda c: grid.to_physical(c / msym))
-        fp = 1j * grid.to_physical(-1j * m4_pair * grid.to_spectral(v1p * v2p))
-        w3p, w4p = _once_each(w[2:], grid.to_physical)
-        return complex(np.sum(fp * (w3p * w4p)) * grid.cell_area)
+        w, v = inputs(fields, "lambda4 (factored)")
+        return complex(0.0, lambda4(pair(*w[2:]), pair(*v[:2])))
 
-    m3 = MultilinearSymbol(3, m3_fn, name="increment-M3", factored=m3_factored)
-    m4 = MultilinearSymbol(4, m4_fn, name="increment-M4", factored=m4_factored)
-    return m3, m4
+    def frames(coeffs):
+        w = band_half(coeffs, "increment_identity_check") * m
+        v = w / m
+        s, p = pair(w, w), pair(v, v)
+        return lambda3(w, s, p), lambda4(s, p)
+
+    return m3_factored, m4_factored, frames
 
 
 # -- increment identity and scans ----------------------------------------------
+
+# Frames per block of the increment check: at 64^2 its temporaries stay at a few MB.
+_BLOCK_FRAMES = 64
+
 
 @dataclass(frozen=True)
 class IncrementReport:
@@ -310,31 +311,25 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
 
     The integrand is sampled at every frame and integrated by composite
     Simpson; the residual is relative to max(|lhs|, integral scale, 1e-14).
+    Frames are band-checked and evaluated _BLOCK_FRAMES at a time, from one
+    pair of products each (four transforms per frame).
     """
     if trajectory.num_frames < 5:
         raise UsageError("increment check needs at least 5 frames")
-    m3, m4 = increment_symbols(mult, trajectory.grid)
-    msym = mult.symbol(trajectory.grid)
-
-    def i_frame(l: int) -> Field:
-        return Field(trajectory.grid, trajectory.coeffs[l] * msym, "spectral")
-
-    vals3 = np.empty(trajectory.num_frames, dtype=np.complex128)
-    vals4 = np.empty(trajectory.num_frames, dtype=np.complex128)
-    for l in range(trajectory.num_frames):
-        w = i_frame(l)
-        vals3[l] = m3.factored([w, w, w])
-        vals4[l] = m4.factored([w, w, w, w])
-    integrand = np.real(-1j * vals3 + 1j * vals4)
-    rhs = float(definite_integral(integrand, trajectory.dt))
-    lhs = energy(i_frame(-1)) - energy(i_frame(0))
-    scale = float(definite_integral(np.abs(integrand), trajectory.dt))
+    grid, coeffs, dt = trajectory.grid, trajectory.coeffs, trajectory.dt
+    frame_forms, msym = _factored_forms(mult, grid)[2], mult.symbol(grid)
+    im3, im4 = np.concatenate([frame_forms(coeffs[k:k + _BLOCK_FRAMES]) for k in
+                               range(0, trajectory.num_frames, _BLOCK_FRAMES)], axis=-1)
+    integrand = im3 - im4
+    rhs, scale, lambda3_integral, lambda4_integral = map(float, definite_integral(
+        np.stack([integrand, np.abs(integrand), im3, im4], axis=-1), dt))
+    lhs = (energy(Field(grid, coeffs[-1] * msym, "spectral"))
+           - energy(Field(grid, coeffs[0] * msym, "spectral")))
     denom = max(abs(lhs), scale, IncrementReport.FLOOR)
     return IncrementReport(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / denom, denominator=denom,
-        lambda3_integral=float(definite_integral(np.imag(vals3), trajectory.dt)),
-        lambda4_integral=float(definite_integral(np.imag(vals4), trajectory.dt)),
-        num_frames=trajectory.num_frames, dt=trajectory.dt)
+        lambda3_integral=lambda3_integral, lambda4_integral=lambda4_integral,
+        num_frames=trajectory.num_frames, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -418,10 +413,9 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
     """
     from .norms import sobolev_norm
 
-    if not 11.0 / 13.0 < s <= 1.0:
-        if n is None:
-            raise UsageError("for s outside (11/13, 1] an explicit N is required")
     if n is None:
+        if not 11.0 / 13.0 < s <= 1.0:
+            raise UsageError("for s outside (11/13, 1] an explicit N is required")
         n_raw = max(4.0, t_target ** (1.0 / horizon_exponent(s)))
         n = 2.0 ** np.ceil(np.log2(n_raw))
     mult = IMultiplier(s, float(n))
@@ -444,10 +438,8 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
     e_now = modified_energy(current, mult)
     t_goal = t_target / lam ** 3
     t_now = 0.0
-    ledger.status = "exhausted"
     for k in range(max_windows):
         if t_now >= t_goal:
-            ledger.status = "completed"
             break
         trajectory = evolve(current, delta, dt, DispersionForm.ORIGINAL,
                             sample_every=int(round(delta / dt)))
@@ -460,9 +452,8 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
         if e_next >= 0.5:
             ledger.status = f"extension failed at window {k}"
             break
-    else:
-        if t_now >= t_goal:
-            ledger.status = "completed"
+    if ledger.status == "running":
+        ledger.status = "completed" if t_now >= t_goal else "exhausted"
     unscaled = rescale(current, 1.0 / lam)
     ledger.hs_final = sobolev_norm(unscaled, s)
     ledger.growth_factor = ledger.hs_final / max(ledger.hs_initial, 1e-300)

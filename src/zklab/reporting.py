@@ -18,8 +18,10 @@ import tempfile
 
 import numpy as np
 
+from .dynamics import scaled_l2, spectral_kernel
 from .errors import DataError
 from .forms import DispersionForm
+from .imethod import _energy, energy, mass
 from .spectral import Field, Grid2D, make_field
 
 __all__ = ["format_value", "write_csv", "write_json", "write_frame_csv",
@@ -168,7 +170,8 @@ def validate_manifest(manifest: dict) -> None:
 # -- run diagnostics ----------------------------------------------------------------
 
 class DiagnosticsRecorder:
-    """Per-sample conservation diagnostics (energy of ``form``), an evolve callback."""
+    """Per-sample conservation diagnostics (energy of ``form``), an evolve callback;
+    in-band spectral fields (every frame of ``evolve``) take all columns from one transform."""
 
     HEADER = ["t (time units)", "mass (integral u^2)", "energy",
               "l2 (spatial L2)", "linf (max |u|)"]
@@ -178,9 +181,11 @@ class DiagnosticsRecorder:
         self.rows: list[tuple] = []
 
     def __call__(self, t: float, field: Field) -> None:
-        from .imethod import energy, mass
-
-        phys = field.physical()
+        grid, phys = field.grid, field.physical()
         m = mass(phys)
-        self.rows.append((t, m, energy(field, self.form), math.sqrt(m),
-                          float(np.max(np.abs(phys.data)))))
+        in_band = field.space == "spectral" and not np.any(
+            field.data[~spectral_kernel(grid, self.form).mask])
+        e = (_energy(grid, self.form, field.data, phys.data) if in_band
+             else energy(field, self.form))
+        l2 = math.sqrt(m) if math.isfinite(m) else scaled_l2(phys.data, grid.cell_area)
+        self.rows.append((t, m, e, l2, float(np.max(np.abs(phys.data)))))

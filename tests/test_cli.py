@@ -115,6 +115,19 @@ class TestExitCodes:
         # diagnostics up to the failure are flushed for post-mortem use
         assert (tmp_path / "diagnostics.csv").exists()
 
+    def test_overflowing_data_keep_a_finite_l2(self, tmp_path, capsys):
+        """Squares of 1e200 overflow the mass column; the l2 column is the
+        finite norm the instability message reports."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(tmp_path, "simulate", "--nx", "16", "--T", "0.002",
+                       "--dt", "0.001", "--amplitude", "1e200")
+        assert code == 3
+        reported = float(capsys.readouterr().err.split("'l2': ")[1].split("}")[0])
+        with open(tmp_path / "diagnostics.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert float(row["mass (integral u^2)"]) == np.inf
+        assert float(row["l2 (spatial L2)"]) == pytest.approx(reported, rel=1e-12)
+
     @pytest.mark.parametrize("header, body", [
         ("# zklab-frame nx=8 ny 8 lx=6.28 ly=6.28", "0," * 7 + "0"),
         ("# zklab-frame nx=8 ny=8 lx=6.28 ly=6.28", "0," * 7 + "abc"),

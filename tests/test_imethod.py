@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zklab.imethod
 from zklab import (
@@ -38,7 +39,8 @@ from zklab import (
     modified_energy,
     regularity_threshold,
 )
-from zklab import DispersionForm
+from zklab import DispersionForm, SpaceTimeField, dealias, derivative
+from zklab.dynamics import spectral_kernel
 from zklab.ic import random_band_limited
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
@@ -242,26 +244,36 @@ class TestIncrementIdentity:
         assert report.lhs == pytest.approx(report.rhs, rel=5e-3, abs=1e-12)
 
     def test_each_frame_checked_and_transformed_once(self, monkeypatch):
-        """Per frame: two band checks (one per form) and 9 FFTs (5 for
-        Lambda3, 4 for Lambda4); the two end-point energies add 6."""
+        """Per frame: four 2-D transforms (W and V = W / m to physical, their
+        squares back); the two end-point energies add one each.  A call on
+        stacked frames counts once per frame."""
         u0 = random_band_limited(G, seed=3, kmax=6.0, amplitude=0.5)
         traj = evolve(u0, 0.02, 1e-3, DispersionForm.ORIGINAL)
-        calls = {"fft": 0, "band": 0}
+        calls = {"transforms": 0}
 
-        def counting(key, fn):
-            def inner(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
+        def counting(fn):
+            def inner(a, *args, **kwargs):
+                calls["transforms"] += int(np.prod(np.shape(a)[:-2]))
+                return fn(a, *args, **kwargs)
             return inner
 
-        monkeypatch.setattr(np.fft, "fft2", counting("fft", np.fft.fft2))
-        monkeypatch.setattr(np.fft, "ifft2", counting("fft", np.fft.ifft2))
-        monkeypatch.setattr(zklab.imethod, "_require_band",
-                            counting("band", zklab.imethod._require_band))
+        monkeypatch.setattr(np.fft, "rfft2", counting(np.fft.rfft2))
+        monkeypatch.setattr(np.fft, "irfft2", counting(np.fft.irfft2))
         increment_identity_check(traj, IMultiplier(0.9, 4.0))
         assert traj.num_frames == 21
-        assert calls["fft"] <= 9 * 21 + 6
-        assert calls["band"] == 2 * 21
+        assert 0 < calls["transforms"] <= 4 * 21 + 2
+
+    @pytest.mark.parametrize("bad", [1, 70, 148])
+    def test_out_of_band_frame_rejected(self, bad):
+        """Every frame is band-checked, in whichever block it falls."""
+        u = random_band_limited(G16, seed=2, kmax=4.0, amplitude=0.5)
+        coeffs = np.repeat(u.coeffs[None], 150, axis=0)
+        coeffs[bad, 7, 0] = coeffs[bad, -7, 0] = 1e-3
+        traj = SpaceTimeField(G16, 0.0, 1e-3, coeffs)
+        with pytest.raises(DataError):
+            increment_identity_check(traj, IMultiplier(0.9, 4.0))
+        coeffs[bad] = u.coeffs
+        increment_identity_check(traj, IMultiplier(0.9, 4.0))
 
     def test_symbol_built_at_most_twice(self, monkeypatch):
         """I's symbol is built once for the Lambda forms and once for the
@@ -287,6 +299,84 @@ class TestIncrementIdentity:
         traj = evolve(u0, 2e-3, 1e-3, DispersionForm.ORIGINAL)
         with pytest.raises(UsageError):
             increment_identity_check(traj, IMultiplier(0.9, 4.0))
+
+
+# The evaluators as computed before the Parseval forms: energy by one stacked
+# transform of (u, u_x, u_y) and quadrature of the density, and Lambda3 /
+# Lambda4 of one frame from nine transforms in physical space.
+def _energy_reference(field, form):
+    g = field.grid
+    u = field.multiplier(spectral_kernel(g, form).mask)
+    vals, ux, uy = g.to_physical(
+        np.stack([u.coeffs, derivative(u, 1, 0).coeffs, derivative(u, 0, 1).coeffs]))
+    gradient = ux * ux + uy * uy
+    if form is DispersionForm.SYMMETRIZED:
+        gradient = gradient - ux * uy
+    density = 0.5 * gradient - vals * vals * vals / 3.0
+    scale = np.sum(0.5 * (ux * ux + uy * uy) + np.abs(vals) ** 3 / 3.0) * g.cell_area
+    return float(np.sum(density) * g.cell_area), float(scale)
+
+
+def _lambdas_reference(mult, w):
+    g = w.grid
+    mask = spectral_kernel(g, DispersionForm.ORIGINAL).mask
+    msym = mult.symbol(g)
+    dx_lap = g.xi_grid * (g.xi_grid ** 2 + g.eta_grid ** 2)
+    m_band = g.half_spectrum(msym * mask)
+    m4_pair = g.xi_odd[:, None] * m_band
+    c = w.coeffs
+    wp, vp = g.to_physical(c), g.to_physical(c / msym)
+    gp = 1j * g.to_physical(-1j * dx_lap * c)
+    term_a = np.sum(gp * (wp * wp)) * g.cell_area
+    pair_hat = g.to_spectral(vp * vp)
+    term_b = np.sum(gp * g.to_physical(pair_hat * m_band)) * g.cell_area
+    fp = 1j * g.to_physical(-1j * m4_pair * pair_hat)
+    return complex(term_a - term_b), complex(np.sum(fp * (wp * wp)) * g.cell_area)
+
+
+class TestParsevalForms:
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(DispersionForm)),
+           in_band=st.booleans())
+    def test_energy_matches_the_quadrature(self, nx, ny, lx, ly, seed, form, in_band):
+        g = make_grid(nx, ny, lx, ly)
+        u = make_field(g, np.random.default_rng(seed).standard_normal((nx, ny)))
+        u = dealias(u) if in_band else u
+        want, scale = _energy_reference(u, form)
+        assert abs(energy(u, form) - want) <= 1e-13 * scale
+
+    def test_batched_lambdas_match_the_per_frame_forms(self, monkeypatch):
+        """Three blocks of frames on a non-square box; the per-frame values
+        are the ones the check integrates."""
+        g = make_grid(16, 32, 2 * np.pi, 3 * np.pi)
+        u0 = random_band_limited(g, seed=4, kmax=5.0, norm="sobolev",
+                                 norm_s=1.0, amplitude=2.0)
+        traj = evolve(u0, 0.07, 5e-4, DispersionForm.ORIGINAL)
+        mult = IMultiplier(0.8, 2.0)
+        integrated = []
+        definite = zklab.imethod.definite_integral
+
+        def spy(values, dt):
+            integrated.append(np.array(values))
+            return definite(values, dt)
+
+        monkeypatch.setattr(zklab.imethod, "definite_integral", spy)
+        report = increment_identity_check(traj, mult)
+        assert traj.num_frames == 141
+        ref = np.array([_lambdas_reference(mult, i_operator(traj.frame(l), mult))
+                        for l in range(traj.num_frames)])
+        # the integrand, its modulus, Im Lambda3 and Im Lambda4, one column each
+        (columns,) = integrated
+        for got, want in zip(columns.T[2:], (ref[:, 0].imag, ref[:, 1].imag)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        m3, m4 = increment_symbols(mult, g)
+        w = i_operator(traj.frame(90), mult)
+        assert lambda3([w] * 3, m3) == pytest.approx(ref[90, 0], rel=1e-12)
+        assert lambda4([w] * 4, m4) == pytest.approx(ref[90, 1], rel=1e-12)
+        assert report.lambda3_integral == pytest.approx(definite(ref[:, 0].imag, traj.dt),
+                                                        rel=1e-12)
 
 
 class TestIncrementScan:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import UsageError, cumulative_integral, definite_integral, trapezoid_weights
 
@@ -38,6 +39,24 @@ def test_fourth_order_convergence():
     r2 = errs[1] / errs[2]
     assert 10.0 < r1 < 25.0
     assert 10.0 < r2 < 25.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_fourth_order_at_every_node_on_random_smooth_integrands(seed):
+    """Three random cosines on [0, 2]: the largest error over all nodes falls
+    by 2^4 per halving of dt (the increment check integrates such data)."""
+    rng = np.random.default_rng(seed)
+    a, w, phase = (rng.uniform(lo, hi, (3, 1)) for lo, hi in ((-1, 1), (0.5, 3), (0, 2 * np.pi)))
+    errs = []
+    for k in (33, 65, 129):
+        dt = 2.0 / (k - 1)
+        t = dt * np.arange(k)
+        exact = np.sum(a / w * (np.sin(w * t + phase) - np.sin(phase)), axis=0)
+        got = cumulative_integral(np.sum(a * np.cos(w * t + phase), axis=0), dt)
+        errs.append(np.max(np.abs(got - exact)))
+    assert np.log2(errs[0] / errs[1]) > 3.7
+    assert np.log2(errs[1] / errs[2]) > 3.7
 
 
 def test_opening_rule_accuracy():

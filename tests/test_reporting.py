@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -12,10 +13,13 @@ from zklab import (
     DiagnosticsRecorder,
     DispersionForm,
     build_manifest,
+    dealias,
+    energy,
     evolve,
     format_value,
     make_field,
     make_grid,
+    mass,
     read_frame_csv,
     validate_manifest,
     write_csv,
@@ -138,3 +142,27 @@ class TestDiagnosticsRecorder:
         masses = [row[1] for row in rec.rows]
         assert masses[0] == pytest.approx(masses[-1], rel=1e-10)
         assert len(rec.HEADER) == len(rec.rows[0])
+
+    @pytest.mark.parametrize("form", list(DispersionForm))
+    @pytest.mark.parametrize("kind", ["in-band", "out-of-band", "physical"])
+    def test_rows_are_the_public_quantities(self, form, kind):
+        """The one-transform path of in-band spectral fields and the separate
+        path of every other field write the same numbers as the public calls."""
+        u = make_field(G, np.random.default_rng(4).standard_normal((G.nx, G.ny)))
+        u = {"in-band": dealias(u), "out-of-band": u.spectral(), "physical": u}[kind]
+        rec = DiagnosticsRecorder(form)
+        rec(0.5, u)
+        m = mass(u)
+        assert rec.rows == [(0.5, m, energy(u, form), math.sqrt(m),
+                             float(np.max(np.abs(u.values))))]
+
+    def test_l2_stays_finite_where_mass_overflows(self):
+        u = dealias(make_field(G, 1e200 * np.cos(G.x[:, None] + 0.0 * G.y[None, :])))
+        rec = DiagnosticsRecorder()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec(0.0, u)
+        _, m, _, l2, linf = rec.rows[0]
+        assert m == np.inf
+        # ||A cos x||_2 = A sqrt(area / 2)
+        assert l2 == pytest.approx(1e200 * math.sqrt(G.area / 2.0), rel=1e-14)
+        assert linf == pytest.approx(1e200, rel=1e-14)

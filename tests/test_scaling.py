@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import (
     DispersionForm,
     RotationMap,
     UsageError,
     linear_propagator,
+    make_field,
     make_grid,
     mass,
     rescale,
@@ -33,6 +35,21 @@ class TestRescale:
             got = sobolev_norm(rescale(u, lam), s, homogeneous=True)
             want = lam ** (s + 1.0) * sobolev_norm(u, s, homogeneous=True)
             assert got == pytest.approx(want, rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.05, 20.0),
+           s=st.floats(-1.0, 2.0))
+    def test_exact_laws_on_random_boxes(self, nx, ny, lx, ly, seed, lam, s):
+        """M(u_lambda) = lambda^2 M(u) and ||u_lambda||_{H^s homogeneous} =
+        lambda^(s+1) ||u|| hold on the lattice for any box and data."""
+        g = make_grid(nx, ny, lx, ly)
+        u = make_field(g, np.random.default_rng(seed).standard_normal((nx, ny)))
+        v = rescale(u, lam)
+        assert mass(v) == pytest.approx(lam ** 2 * mass(u), rel=1e-12)
+        want = lam ** (s + 1.0) * sobolev_norm(u, s, homogeneous=True)
+        assert sobolev_norm(v, s, homogeneous=True) == pytest.approx(want, rel=1e-11)
 
     def test_composition_and_identity(self):
         u = random_band_limited(G, seed=3, kmax=5.0)
