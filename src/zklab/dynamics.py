@@ -10,15 +10,15 @@ SpectralKernel.  The linear part is exact (phase multipliers); the classical
 ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 
-Steps run on the half spectrum (``spectral`` docstring) with the nonlinear
-term to_physical -> square -> to_spectral -> multiply; ``step_etdrk4`` and
-``SpectralKernel.nonlinear`` convert from and to the full spectrum per call.
+Steps run on the band block (``spectral`` docstring) with the one nonlinear
+term to_physical -> square -> to_spectral(columns) -> multiply; a SolverState
+carries the block and builds its full-spectrum ``field`` only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -41,24 +41,24 @@ _PHI_SERIES_TERMS = 18
 
 @dataclass(frozen=True, eq=False)
 class SpectralKernel:
-    """Read-only omega, 2/3 mask, -D * mask (also on the half spectrum) and band max |omega|."""
+    """Read-only omega, 2/3 mask, -D * mask (also on the band block) and band max |omega|."""
 
     grid: Grid2D
     omega: np.ndarray
     mask: np.ndarray
     neg_dmask: np.ndarray
     max_omega: float
-    half_mask: np.ndarray
-    half_neg_dmask: np.ndarray
+    band_mask: np.ndarray
+    band_neg_dmask: np.ndarray
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ for coefficients of shape (..., nx, ny)."""
-        return self.grid.full_spectrum(self._half_nonlinear(self.grid.half_spectrum(coeffs)))
+        return self.grid.full_spectrum(self.band_nonlinear(coeffs))
 
-    def _half_nonlinear(self, half: np.ndarray) -> np.ndarray:
-        """-D P_B (u^2)^ on the half spectrum: the package's one nonlinear term."""
-        vals = self.grid.to_physical(half)
-        return self.half_neg_dmask * self.grid.to_spectral(vals * vals)
+    def band_nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
+        """-D P_B (u^2)^ on the band block, of any to_physical input: the one nonlinear term."""
+        vals = self.grid.to_physical(coeffs)
+        return self.band_neg_dmask * self.grid.to_spectral(vals * vals, self.grid.band_columns)
 
     def phase(self, t, support=...) -> np.ndarray:
         """exp(i t omega), shape t.shape + (nx, ny), or t.shape + (count,) on the
@@ -71,11 +71,11 @@ def spectral_kernel(grid: Grid2D, form: DispersionForm) -> SpectralKernel:
     """The kernel of (grid, form), built once; every caller shares its arrays."""
     omega, mask = form.omega(grid), dealias_mask(grid)
     neg_dmask = -form.nonlinear_derivative(grid) * mask
-    halves = [np.ascontiguousarray(grid.half_spectrum(a)) for a in (mask, neg_dmask)]
-    for arr in (omega, mask, neg_dmask, *halves):
+    bands = [np.ascontiguousarray(a[:, :grid.band_columns]) for a in (mask, neg_dmask)]
+    for arr in (omega, mask, neg_dmask, *bands):
         arr.setflags(write=False)
     return SpectralKernel(grid, omega, mask, neg_dmask,
-                          float(np.abs(omega[mask]).max()), *halves)
+                          float(np.abs(omega[mask]).max()), *bands)
 
 
 def max_dispersion(grid, form: DispersionForm) -> float:
@@ -120,9 +120,9 @@ class EtdrkTableau:
     f3: np.ndarray
 
     @cached_property
-    def half_spectrum(self) -> "EtdrkTableau":
-        """The same coefficients on the half spectrum, built once per tableau."""
-        width = self.e_full.shape[-1] // 2 + 1
+    def band(self) -> "EtdrkTableau":
+        """The same coefficients on the band block (ny // 3 + 1 columns), built once."""
+        width = self.e_full.shape[-1] // 3 + 1
         return EtdrkTableau(*(np.ascontiguousarray(getattr(self, f.name)[..., :width])
                               for f in fields(self)))
 
@@ -140,24 +140,27 @@ def etdrk4_tableau(grid, dt: float, form: DispersionForm) -> EtdrkTableau:
     )
 
 
-@dataclass(frozen=True)
 class SolverState:
-    """Stepper state: spectral field, clock, step size, form, counters."""
+    """Stepper state: spectral field, clock, step size, form, counters.  Steps carry
+    only the field's band block ``band``; ``field`` is built from it on first read."""
 
-    field: Field
-    t: float
-    dt: float
-    form: DispersionForm
-    steps: int = 0
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise UsageError(f"dt must be positive, got {self.dt}")
-        limit = self.dt * max_dispersion(self.field.grid, self.form)
+    def __init__(self, field: Field, t: float, dt: float, form: DispersionForm, steps: int = 0):
+        if not dt > 0:
+            raise UsageError(f"dt must be positive, got {dt}")
+        limit = dt * max_dispersion(field.grid, form)
         if limit > DT_OMEGA_LIMIT:
             raise UsageError(
                 f"dt * max|omega| = {limit:.3g} exceeds the documented limit "
                 f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
+        vars(self).update(field=field, grid=field.grid, t=t, dt=dt, form=form, steps=steps)
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        return self.field.coeffs[:, :self.grid.band_columns]
+
+    @cached_property
+    def field(self) -> Field:
+        return Field(self.grid, self.grid.full_spectrum(self.band), "spectral")
 
 
 def scaled_l2(values: np.ndarray, weight: float) -> float:
@@ -169,11 +172,10 @@ def scaled_l2(values: np.ndarray, weight: float) -> float:
 
 def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     """One ETDRK4 step with the tableau of (grid, state.dt, state.form), taken
-    on the half spectrum; raises InstabilityError on non-finite output."""
-    grid = state.field.grid
-    kernel = spectral_kernel(grid, state.form)
-    tab, nonlinear = tableau.half_spectrum, kernel._half_nonlinear
-    uhat = grid.half_spectrum(state.field.coeffs) * kernel.half_mask
+    on the band block; raises InstabilityError on non-finite output."""
+    grid, kernel = state.grid, spectral_kernel(state.grid, state.form)
+    tab, nonlinear = tableau.band, kernel.band_nonlinear
+    uhat = state.band * kernel.band_mask
     n0 = nonlinear(uhat)
     a = tab.e_half * uhat + tab.q * n0
     na = nonlinear(a)
@@ -187,8 +189,10 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
             f"non-finite state at t = {state.t + state.dt:.6g}",
             last_diagnostics={"t": state.t, "steps": state.steps,
                               "l2": scaled_l2(state.field.coeffs, grid.area)})
-    return replace(state, field=Field(grid, grid.full_spectrum(new), "spectral"),
-                   t=state.t + state.dt, steps=state.steps + 1)
+    out = object.__new__(SolverState)  # the same dt and form, checked already
+    vars(out).update(grid=grid, band=new, t=state.t + state.dt, dt=state.dt, form=state.form,
+                     steps=state.steps + 1)
+    return out
 
 
 def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
@@ -221,8 +225,7 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
         state = SolverState(Field(grid, frames[0], "spectral"), 0.0, dt, form)
         tab = etdrk4_tableau(grid, dt, form)
         for k in range(1, n_steps + 1):
-            # keep the previous state alive one more step: freeing it at once lets glibc
-            # trim the heap top after every step, and the stepper's arrays fault back in
+            # hold the previous state a step longer, else glibc trims the heap and faults it back
             prev, state = state, step_etdrk4(state, tab)
             if k % sample_every == 0:
                 frames[k // sample_every] = state.field.coeffs

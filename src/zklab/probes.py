@@ -411,8 +411,8 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         projector = LPProjector(g)
         weights = {n: projector.weight(n) for n in {n1, n2, n3}}
         kernel = spectral_kernel(g, form)
-        # the three factors' half-spectrum weights, transformed in one to_physical
-        factors = np.stack([g.half_spectrum(w) for w in (
+        # the three factors' band-block weights, transformed in one to_physical
+        factors = np.stack([w[:, :g.band_columns] for w in (
             weights[n1], weights[n2], -weights[n3] * kernel.neg_dmask)])
         u0 = Field(g,
                    amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
@@ -428,11 +428,10 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         kept = []
 
         def record(st: SolverState):
-            c = st.field.coeffs
-            a, b, d = g.to_physical(g.half_spectrum(c) * factors)
+            a, b, d = g.to_physical(st.band * factors)
             integrand[st.steps] = np.sum(a * b * d) * g.cell_area
             if st.steps % stride == 0:
-                kept.append(c)
+                kept.append(st.field.coeffs)
 
         record(state)
         for _ in range(steps):

@@ -8,20 +8,19 @@ Conventions fixed here and relied on everywhere else:
   ``fft2(u) / (nx * ny)``, so ``u(x, y) = sum_jk uhat[j, k] * exp(i(xi_j x + eta_k y))``
   with wavenumbers ``xi_j = 2*pi*j / lx`` on the centered index set
   ``{-nx/2, ..., nx/2 - 1}`` in FFT order (numpy's ``norm="forward"``).
-* Transforms: ``Grid2D.to_physical`` (``irfft2``) and ``to_spectral``
-  (``rfft2``) are the package's only 2-D transforms.  Their spectral side must
-  be Hermitian, as a real field's is (``from_coefficients`` checks); a real odd
-  symbol makes it anti-Hermitian, hence ``1j * to_physical(-1j * symbol * c)``.
+* Transforms: ``Grid2D.to_physical`` / ``to_spectral``, ``irfft2`` / ``rfft2`` as two
+  1-D passes that skip columns past a leading block, are the only 2-D ones.  Their
+  spectral side must be Hermitian (``from_coefficients`` checks); a real odd symbol
+  makes it anti-Hermitian, hence ``1j * to_physical(-1j * symbol * c)``.
 * Quadrature: ``integral(u) = lx * ly * uhat[0, 0]`` and Parseval reads
   ``integral(|u|^2) = lx * ly * sum |uhat|^2``.
 * Nyquist rule: the index -n/2 has no partner +n/2, so every odd-order
   symbol (odd derivatives, omega, the nonlinear derivative) is zeroed there
   to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
   ``eta_odd`` apply it; every symbol in the package reads them.
-* Half spectrum: Hermitian coefficients are fixed by their first
-  ``ny // 2 + 1`` columns (``rfft2``'s layout), all that the stepper keeps;
-  ``Grid2D.half_spectrum`` / ``full_spectrum`` convert, and ``Field`` and every
-  public array stay full-spectrum.
+* Half spectrum: Hermitian coefficients are fixed by their first ``ny // 2 + 1``
+  columns (``rfft2``'s layout), in-band ones by the first ``band_columns`` (the
+  stepper's state); ``full_spectrum`` converts back; ``Field`` and public arrays stay full.
 """
 
 from __future__ import annotations
@@ -130,22 +129,32 @@ class Grid2D:
         return ((self.jx != -(self.nx // 2))[:, None]
                 & (self.jy != -(self.ny // 2))[None, :])
 
-    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real samples (..., nx, ny) of Hermitian coefficients, full or half spectrum."""
-        return np.fft.irfft2(self.half_spectrum(coeffs), s=(self.nx, self.ny), norm="forward")
+    @property
+    def band_columns(self) -> int:
+        """Leading half-spectrum columns that hold the 2/3 band, ny // 3 + 1."""
+        return self.band_index[1] + 1
 
-    def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients (..., nx, ny // 2 + 1) of real samples."""
-        return np.fft.rfft2(values, norm="forward")
+    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real samples (..., nx, ny) of Hermitian coefficients, full, half or leading block."""
+        cols = np.fft.ifft(self.half_spectrum(coeffs), axis=-2, norm="forward")
+        return np.fft.irfft(cols, n=self.ny, axis=-1, norm="forward")
+
+    def to_spectral(self, values: np.ndarray, columns: int | None = None) -> np.ndarray:
+        """Half-spectrum coefficients of real samples, or their first ``columns`` columns."""
+        rows = np.fft.rfft(values, axis=-1, norm="forward")[..., :columns]
+        return np.fft.fft(rows, axis=-2, norm="forward")
 
     def half_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """The half-spectrum columns of (..., nx, ny) coefficients, a view."""
         return coeffs[..., : self.ny // 2 + 1]
 
     def full_spectrum(self, half: np.ndarray) -> np.ndarray:
-        """(..., nx, ny) Hermitian coefficients from their half spectrum."""
-        tail = half[..., -np.arange(self.nx) % self.nx, self.ny // 2 - 1:0:-1]
-        return np.concatenate((half, np.conj(tail)), axis=-1)
+        """(..., nx, ny) Hermitian coefficients from their half spectrum or a leading block."""
+        full = np.zeros(half.shape[:-1] + (self.ny,), dtype=np.complex128)
+        full[..., :half.shape[-1]] = half
+        rows = -np.arange(self.nx) % self.nx
+        full[..., self.ny // 2 + 1:] = np.conj(full[..., rows, self.ny // 2 - 1:0:-1])
+        return full
 
     def same_geometry(self, other: "Grid2D") -> bool:
         return (self.nx == other.nx and self.ny == other.ny
@@ -164,8 +173,7 @@ class Field:
 
     Physical data are real float64 samples; spectral data are complex128
     series coefficients trusted to be Hermitian (a real field), which only
-    ``from_coefficients`` checks: here the check would cost 0.15 ms at 128^2
-    on every ETDRK4 step (about 2 ms).  Immutable; conversions return new objects.
+    ``from_coefficients`` checks.  Immutable; conversions return new objects.
     """
 
     grid: Grid2D

@@ -1,6 +1,7 @@
 """Time-stepping tests: free propagator phases, ETDRK4 order, failure modes,
 the shared spectral kernel, and Hermitian symmetry on random grids."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -13,6 +14,7 @@ import zklab.spectral
 
 from zklab import (
     DispersionForm,
+    EtdrkTableau,
     InstabilityError,
     SolverState,
     UsageError,
@@ -333,8 +335,9 @@ BOXES = dict(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32,
 
 
 class TestHalfSpectrum:
-    """The stepper runs on the (nx, ny // 2 + 1) half spectrum; the public API
-    converts at its boundary and must agree with the full spectrum."""
+    """The stepper runs on a leading block of the (nx, ny // 2 + 1) half
+    spectrum; the public API converts at its boundary and must agree with the
+    full spectrum."""
 
     @settings(max_examples=50, deadline=None)
     @given(**BOXES)
@@ -388,3 +391,83 @@ class TestHalfSpectrum:
         assert diag["t"] == t_last
         assert np.isfinite(l2)
         assert diag["l2"] == pytest.approx(l2, rel=1e-14)
+
+
+def half_spectrum_step(coeffs, grid, tableau, form):
+    """The stepper as it was before band pruning: every stage on all
+    ny // 2 + 1 half columns through numpy's 2-D real transforms, and the full
+    spectrum rebuilt after the step."""
+    width = grid.ny // 2 + 1
+    kernel = spectral_kernel(grid, form)
+    half_mask, half_neg_dmask = (np.ascontiguousarray(a[:, :width])
+                                 for a in (kernel.mask, kernel.neg_dmask))
+    tab = EtdrkTableau(*(np.ascontiguousarray(getattr(tableau, f.name)[..., :width])
+                         for f in dataclasses.fields(tableau)))
+
+    def nonlinear(half):
+        vals = np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
+        return half_neg_dmask * np.fft.rfft2(vals * vals, norm="forward")
+
+    uhat = coeffs[:, :width] * half_mask
+    n0 = nonlinear(uhat)
+    a = tab.e_half * uhat + tab.q * n0
+    na = nonlinear(a)
+    b = tab.e_half * uhat + tab.q * na
+    nb = nonlinear(b)
+    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
+    nc = nonlinear(c)
+    new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
+    tail = new[-np.arange(grid.nx) % grid.nx, grid.ny // 2 - 1:0:-1]
+    return np.concatenate((new, np.conj(tail)), axis=-1)
+
+
+# numpy evaluates `x * temporary` as `temporary *= x` once the temporary
+# reaches 256 KiB (temporary elision), and its complex multiply need not round
+# x * t and t * x alike (it may fuse a multiply-add), so two steppers with the
+# same expressions round alike where their temporaries sit on the same side
+# of that size
+ELISION_BYTES = 256 * 1024
+
+
+class TestBandStepper:
+    """step_etdrk4 carries only the band block between steps and is bit-equal
+    to the half-spectrum stepper it replaced, except where only the half
+    spectrum's temporaries are elided (nx * ny = 2 ** 15 among these grids):
+    there the two agree to round-off."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           ny=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(nx=8, ny=64, lx=2 * np.pi, ly=2 * np.pi, seed=0)
+    @example(nx=64, ny=8, lx=3.0, ly=0.5, seed=1)
+    @example(nx=128, ny=256, lx=30.0, ly=11.0, seed=0)
+    def test_twenty_steps_equal_the_half_spectrum_stepper(self, nx, ny, lx, ly, seed):
+        g = make_grid(nx, ny, lx, ly)
+        elided = [16 * nx * width >= ELISION_BYTES for width in (ny // 2 + 1, g.band_columns)]
+        noise = np.random.default_rng(seed).standard_normal((nx, ny))
+        u = make_field(g, 0.1 * noise).spectral()
+        for form in DispersionForm:
+            dt = min(1e-3, 0.5 / max_dispersion(g, form))
+            tableau = etdrk4_tableau(g, dt, form)
+            state, want = SolverState(u, 0.0, dt, form), u.coeffs
+            with pytest.MonkeyPatch.context() as patch:
+                calls = Counter()
+                full_spectrum = zklab.spectral.Grid2D.full_spectrum
+
+                def counting(grid, half):
+                    calls["full_spectrum"] += 1
+                    return full_spectrum(grid, half)
+
+                patch.setattr(zklab.spectral.Grid2D, "full_spectrum", counting)
+                for _ in range(20):
+                    state = step_etdrk4(state, tableau)
+                    want = half_spectrum_step(want, g, tableau, form)
+            assert calls["full_spectrum"] == 0
+            assert state.steps == 20 and state.t == pytest.approx(20 * dt, rel=1e-14)
+            assert state.band.shape == (nx, ny // 3 + 1)
+            if elided[0] == elided[1]:
+                np.testing.assert_array_equal(state.field.coeffs, want)
+            else:
+                gap = np.linalg.norm(state.field.coeffs - want)
+                assert gap <= 1e-14 * np.linalg.norm(want)

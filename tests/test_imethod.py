@@ -39,7 +39,7 @@ from zklab import (
     modified_energy,
     regularity_threshold,
 )
-from zklab import DispersionForm, SpaceTimeField, dealias, derivative
+from zklab import DispersionForm, Grid2D, SpaceTimeField, dealias, derivative
 from zklab.dynamics import spectral_kernel
 from zklab.ic import random_band_limited
 
@@ -252,13 +252,13 @@ class TestIncrementIdentity:
         calls = {"transforms": 0}
 
         def counting(fn):
-            def inner(a, *args, **kwargs):
+            def inner(grid, a, *args, **kwargs):
                 calls["transforms"] += int(np.prod(np.shape(a)[:-2]))
-                return fn(a, *args, **kwargs)
+                return fn(grid, a, *args, **kwargs)
             return inner
 
-        monkeypatch.setattr(np.fft, "rfft2", counting(np.fft.rfft2))
-        monkeypatch.setattr(np.fft, "irfft2", counting(np.fft.irfft2))
+        monkeypatch.setattr(Grid2D, "to_spectral", counting(Grid2D.to_spectral))
+        monkeypatch.setattr(Grid2D, "to_physical", counting(Grid2D.to_physical))
         increment_identity_check(traj, IMultiplier(0.9, 4.0))
         assert traj.num_frames == 21
         assert 0 < calls["transforms"] <= 4 * 21 + 2

@@ -6,7 +6,7 @@ integrals, hand convolutions, or brute-force sums over the integer lattice.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zklab import (
     DataError,
@@ -188,6 +188,9 @@ class TestDealias:
             np.testing.assert_array_equal(dealias_mask(g), want)
             assert g.band_index == (int(np.abs(jx[want.any(axis=1)]).max()),
                                     int(np.abs(jy[want.any(axis=0)]).max()))
+            # the band block is the shortest leading block of half columns holding the band
+            assert want[:, g.band_columns - 1].any()
+            assert not want[:, g.band_columns:ny // 2 + 1].any()
 
     def test_idempotent(self):
         g = grid()
@@ -279,6 +282,48 @@ class TestTransformPair:
         want = np.sum(0.5 * gradient - u ** 3 / 3.0) * g.cell_area
         scale = np.sum(0.5 * np.abs(gradient) + np.abs(u) ** 3 / 3.0) * g.cell_area
         assert abs(energy(from_coefficients(g, c), form) - want) <= 1e-14 * scale
+
+
+WIDE_BOXES = dict(nx=st.sampled_from([8, 16, 32, 64, 128, 256]),
+                  ny=st.sampled_from([8, 16, 32, 64, 128, 256]),
+                  lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+                  seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestPrunedTransforms:
+    """The pair's 1-D passes skip the columns past a leading block and are
+    bit-equal to numpy's 2-D real transforms of the zero-padded half spectrum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**WIDE_BOXES, lead=st.sampled_from([(), (3,), (2, 3)]), data=st.data())
+    @example(nx=8, ny=256, lx=0.5, ly=3.0, seed=0, lead=(), data=None)
+    @example(nx=256, ny=8, lx=7.0, ly=0.5, seed=1, lead=(3,), data=None)
+    def test_to_physical_of_a_leading_block(self, nx, ny, lx, ly, seed, lead, data):
+        g = make_grid(nx, ny, lx, ly)
+        width = g.band_columns if data is None else data.draw(st.integers(1, ny // 2 + 1))
+        rng = np.random.default_rng(seed)
+        block = (rng.standard_normal(lead + (nx, width))
+                 + 1j * rng.standard_normal(lead + (nx, width)))
+        half = np.zeros(lead + (nx, ny // 2 + 1), dtype=complex)
+        half[..., :width] = block
+        got = g.to_physical(block)
+        assert got.shape == lead + (nx, ny) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"))
+        np.testing.assert_array_equal(g.full_spectrum(block), g.full_spectrum(half))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**WIDE_BOXES, lead=st.sampled_from([(), (3,), (2, 3)]), data=st.data())
+    @example(nx=8, ny=256, lx=0.5, ly=3.0, seed=0, lead=(2, 3), data=None)
+    @example(nx=256, ny=8, lx=7.0, ly=0.5, seed=1, lead=(), data=None)
+    def test_to_spectral_keeps_the_leading_columns(self, nx, ny, lx, ly, seed, lead, data):
+        g = make_grid(nx, ny, lx, ly)
+        columns = (g.band_columns if data is None
+                   else data.draw(st.one_of(st.none(), st.integers(1, ny // 2 + 1))))
+        values = np.random.default_rng(seed).standard_normal(lead + (nx, ny))
+        want = np.fft.rfft2(values, norm="forward")[..., :columns]
+        got = g.to_spectral(values, columns)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestHermitianContract:
