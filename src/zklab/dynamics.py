@@ -10,15 +10,15 @@ SpectralKernel.  The linear part is exact (phase multipliers); the classical
 ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 
-Steps run on the band block (``spectral`` docstring) with the one nonlinear
-term to_physical -> square -> to_spectral(columns) -> multiply; a SolverState
-carries the block and builds its full-spectrum ``field`` only when read.
+Steps and their tableau run on the band block (``spectral`` docstring) with the
+one nonlinear term to_physical -> square -> to_spectral(columns) -> multiply; a
+SolverState carries the block and builds its full-spectrum ``field`` only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -41,19 +41,14 @@ _PHI_SERIES_TERMS = 18
 
 @dataclass(frozen=True, eq=False)
 class SpectralKernel:
-    """Read-only omega, 2/3 mask, -D * mask (also on the band block) and band max |omega|."""
+    """Read-only omega, 2/3 mask, band max |omega|, and the mask and -D * mask on the band block."""
 
     grid: Grid2D
     omega: np.ndarray
     mask: np.ndarray
-    neg_dmask: np.ndarray
     max_omega: float
     band_mask: np.ndarray
     band_neg_dmask: np.ndarray
-
-    def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        """-D P_B (u^2)^ for coefficients of shape (..., nx, ny)."""
-        return self.grid.full_spectrum(self.band_nonlinear(coeffs))
 
     def band_nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ on the band block, of any to_physical input: the one nonlinear term."""
@@ -70,12 +65,12 @@ class SpectralKernel:
 def spectral_kernel(grid: Grid2D, form: DispersionForm) -> SpectralKernel:
     """The kernel of (grid, form), built once; every caller shares its arrays."""
     omega, mask = form.omega(grid), dealias_mask(grid)
-    neg_dmask = -form.nonlinear_derivative(grid) * mask
-    bands = [np.ascontiguousarray(a[:, :grid.band_columns]) for a in (mask, neg_dmask)]
-    for arr in (omega, mask, neg_dmask, *bands):
+    band_mask = np.ascontiguousarray(mask[:, :grid.band_columns])
+    band_neg_dmask = -form.nonlinear_derivative(grid)[:, :grid.band_columns] * band_mask
+    for arr in (omega, mask, band_mask, band_neg_dmask):
         arr.setflags(write=False)
-    return SpectralKernel(grid, omega, mask, neg_dmask,
-                          float(np.abs(omega[mask]).max()), *bands)
+    return SpectralKernel(grid, omega, mask, float(np.abs(omega[mask]).max()),
+                          band_mask, band_neg_dmask)
 
 
 def max_dispersion(grid, form: DispersionForm) -> float:
@@ -119,16 +114,9 @@ class EtdrkTableau:
     f2: np.ndarray
     f3: np.ndarray
 
-    @cached_property
-    def band(self) -> "EtdrkTableau":
-        """The same coefficients on the band block (ny // 3 + 1 columns), built once."""
-        width = self.e_full.shape[-1] // 3 + 1
-        return EtdrkTableau(*(np.ascontiguousarray(getattr(self, f.name)[..., :width])
-                              for f in fields(self)))
-
 
 def etdrk4_tableau(grid, dt: float, form: DispersionForm) -> EtdrkTableau:
-    z = 1j * dt * spectral_kernel(grid, form).omega
+    z = 1j * dt * spectral_kernel(grid, form).omega[:, :grid.band_columns]
     phi1, phi2, phi3 = _phi(1, z), _phi(2, z), _phi(3, z)
     return EtdrkTableau(
         e_full=np.exp(z),
@@ -174,7 +162,7 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     """One ETDRK4 step with the tableau of (grid, state.dt, state.form), taken
     on the band block; raises InstabilityError on non-finite output."""
     grid, kernel = state.grid, spectral_kernel(state.grid, state.form)
-    tab, nonlinear = tableau.band, kernel.band_nonlinear
+    tab, nonlinear = tableau, kernel.band_nonlinear
     uhat = state.band * kernel.band_mask
     n0 = nonlinear(uhat)
     a = tab.e_half * uhat + tab.q * n0
@@ -207,8 +195,8 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     from .trajectory import SpaceTimeField
 
     grid = u0.grid
-    if t_final < 0:
-        raise UsageError("t_final must be non-negative")
+    if not (0 <= t_final < math.inf and 0 < dt < math.inf):
+        raise UsageError(f"need finite t_final >= 0 and dt > 0, got t_final = {t_final}, dt = {dt}")
     if sample_every < 1:
         raise UsageError("sample_every must be a positive integer")
     n_steps = int(round(t_final / dt)) if t_final != 0 else 0

@@ -107,17 +107,17 @@ def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> floa
 
 def _energy(grid: Grid2D, form: DispersionForm, coeffs: np.ndarray, vals: np.ndarray) -> float:
     """E of in-band coefficients whose physical samples are ``vals``."""
-    xi, eta = grid.xi_odd[:, None], grid.half_spectrum(grid.eta_odd)
+    xi, eta = grid.xi_odd[:, None], grid.eta_odd[:grid.band_columns]
     gradient = xi * xi + eta * eta - (xi * eta if form is DispersionForm.SYMMETRIZED else 0.0)
-    half = grid.half_spectrum(coeffs)
-    return float(0.5 * _half_sum(grid, gradient * (half.real ** 2 + half.imag ** 2))
+    block = coeffs[..., :grid.band_columns]
+    return float(0.5 * _band_sum(grid, gradient * (block.real ** 2 + block.imag ** 2))
                  - np.sum(vals * vals * vals) * grid.cell_area / 3.0)
 
 
-def _half_sum(grid: Grid2D, x: np.ndarray) -> np.ndarray:
-    """area * sum over the full lattice of an even real array given on the half
-    spectrum (any leading axes): all but its first and last columns occur twice."""
-    return grid.area * (2.0 * np.sum(x, axis=(-2, -1)) - np.sum(x[..., 0] + x[..., -1], axis=-1))
+def _band_sum(grid: Grid2D, x: np.ndarray) -> np.ndarray:
+    """area * sum over the full lattice of an even real array given on the band block
+    (any leading axes): all but its first column occur twice, as it has no Nyquist column."""
+    return grid.area * (2.0 * np.sum(x, axis=(-2, -1)) - np.sum(x[..., 0], axis=-1))
 
 
 def modified_energy(field: Field, mult: IMultiplier) -> float:
@@ -241,31 +241,32 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
     P = (V_p V_p)^ of physical samples, discrete Parseval gives Lambda3 = area sum
     (dx_lap W) conj(S - m_band P) and Lambda4 = area sum (xi m_band P) conj(S) over the
     lattice.  The symbols are real and odd, so the summands are anti-Hermitian: the forms
-    are imaginary and Im of a summand is even (``_half_sum``).  The 2/3 gate of m_band is
-    a no-op on the zero-sum hyperplane of M3 but discards pair products that would wrap.
+    are imaginary and Im of a summand is even (``_band_sum``); W and m_band vanish off
+    the band, so the sums, S and P run on the band block.  The 2/3 gate of m_band is a
+    no-op on the zero-sum hyperplane of M3 but discards pair products that would wrap.
     """
     mask, msym = spectral_kernel(grid, DispersionForm.ORIGINAL).mask, mult.symbol(grid)
     dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
-    m, dx_lap, m_band = map(grid.half_spectrum, (msym, dx_lap, msym * mask))
+    m, dx_lap, m_band = (a[:, :grid.band_columns] for a in (msym, dx_lap, msym * mask))
 
-    def band_half(coeffs, what):
+    def band_block(coeffs, what):
         if np.any(coeffs[..., ~mask]):
             raise DataError(f"{what} requires input with no content outside the "
                             "2/3 dealias band; apply dealias() first")
-        return grid.half_spectrum(coeffs)
+        return coeffs[..., :grid.band_columns]
 
-    def pair(a, b):  # (a_p b_p)^, transforming a once when b is a
+    def pair(a, b):  # (a_p b_p)^ on the band block, transforming a once when b is a
         ap = grid.to_physical(a)
-        return grid.to_spectral(ap * (ap if b is a else grid.to_physical(b)))
+        return grid.to_spectral(ap * (ap if b is a else grid.to_physical(b)), grid.band_columns)
 
     def lambda3(w, s, p):
-        return _half_sum(grid, np.imag(dx_lap * w * np.conj(s - m_band * p)))
+        return _band_sum(grid, np.imag(dx_lap * w * np.conj(s - m_band * p)))
 
     def lambda4(s, p):
-        return _half_sum(grid, np.imag(grid.xi_odd[:, None] * m_band * p * np.conj(s)))
+        return _band_sum(grid, np.imag(grid.xi_odd[:, None] * m_band * p * np.conj(s)))
 
     def inputs(fields, what):  # W and V of each slot, checked and divided once per field
-        w = {id(f): band_half(f.coeffs, what) for f in fields}
+        w = {id(f): band_block(f.coeffs, what) for f in fields}
         v = {key: c / m for key, c in w.items()}
         return [w[id(f)] for f in fields], [v[id(f)] for f in fields]
 
@@ -278,7 +279,7 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
         return complex(0.0, lambda4(pair(*w[2:]), pair(*v[:2])))
 
     def frames(coeffs):
-        w = band_half(coeffs, "increment_identity_check") * m
+        w = band_block(coeffs, "increment_identity_check") * m
         v = w / m
         s, p = pair(w, w), pair(v, v)
         return lambda3(w, s, p), lambda4(s, p)

@@ -6,11 +6,12 @@ The map under iteration is
              - int_0^t e^{(t-t')S} chi(t'/T) D(u^2)(t') dt',
 
 D = d_x (original form) or d_x + d_y (symmetrized), the dealiased -D(u^2) being
-the stepper's SpectralKernel.nonlinear on all nodes at once, and the cutoff a
+the stepper's SpectralKernel.band_nonlinear on all nodes at once, and the cutoff a
 literal smooth factor on both the free term and the Duhamel integrand.  The
 integral is evaluated in twisted variables (g(t') = e^{-t'S} applied to the
 integrand) with the fourth-order cumulative quadrature, so linear propagation
-between nodes is exact.
+between nodes is exact.  Iterates live on the band block (``spectral`` docstring)
+and are brought to the full spectrum once each, for the trajectories and norms.
 """
 
 from __future__ import annotations
@@ -96,21 +97,23 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
     times = dt * np.arange(k)
     cut = chi(times / t_horizon)[:, None, None]
 
-    phase = kernel.phase(times)
-    free = phase * np.where(kernel.mask, u0.spectral().coeffs, 0.0)
+    band = np.s_[:, :grid.band_columns]
+    phase = kernel.phase(times, band)
+    free = phase * np.where(kernel.band_mask, u0.spectral().coeffs[band], 0.0)
 
     def apply_map(coeffs):
         out = cut * free
         if nonlinear:
-            twisted = np.conj(phase) * (cut * kernel.nonlinear(coeffs))
+            twisted = np.conj(phase) * (cut * kernel.band_nonlinear(coeffs))
             out = out + phase * cumulative_integral(twisted, dt)
         return out
 
     iterates = [free]
     for _ in range(n_iter):
         iterates.append(apply_map(iterates[-1]))
+    iterates = [grid.full_spectrum(it) for it in iterates]
 
-    stfs = tuple(SpaceTimeField(grid, 0.0, dt, it.copy()) for it in iterates)
+    stfs = tuple(SpaceTimeField(grid, 0.0, dt, it) for it in iterates)
     diffs = []
     for n in range(len(stfs) - 1):
         diff = SpaceTimeField(grid, 0.0, dt, iterates[n + 1] - iterates[n])

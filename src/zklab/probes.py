@@ -412,8 +412,9 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         weights = {n: projector.weight(n) for n in {n1, n2, n3}}
         kernel = spectral_kernel(g, form)
         # the three factors' band-block weights, transformed in one to_physical
-        factors = np.stack([w[:, :g.band_columns] for w in (
-            weights[n1], weights[n2], -weights[n3] * kernel.neg_dmask)])
+        band = np.s_[:, :g.band_columns]
+        factors = np.stack([weights[n1][band], weights[n2][band],
+                            -weights[n3][band] * kernel.band_neg_dmask])
         u0 = Field(g,
                    amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
                                 + shell_field(g, n2, seed + 3 * i + 1).coeffs

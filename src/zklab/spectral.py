@@ -18,9 +18,9 @@ Conventions fixed here and relied on everywhere else:
   symbol (odd derivatives, omega, the nonlinear derivative) is zeroed there
   to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
   ``eta_odd`` apply it; every symbol in the package reads them.
-* Half spectrum: Hermitian coefficients are fixed by their first ``ny // 2 + 1``
-  columns (``rfft2``'s layout), in-band ones by the first ``band_columns`` (the
-  stepper's state); ``full_spectrum`` converts back; ``Field`` and public arrays stay full.
+* Band block: in-band Hermitian coefficients are fixed by their first ``band_columns``, the
+  one layout of the stepper, Picard and the I-method; ``Field`` and public arrays stay full.
+  The ``ny // 2 + 1`` half spectrum lives only in the transform pair and ``full_spectrum``.
 """
 
 from __future__ import annotations
@@ -136,17 +136,13 @@ class Grid2D:
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples (..., nx, ny) of Hermitian coefficients, full, half or leading block."""
-        cols = np.fft.ifft(self.half_spectrum(coeffs), axis=-2, norm="forward")
+        cols = np.fft.ifft(coeffs[..., :self.ny // 2 + 1], axis=-2, norm="forward")
         return np.fft.irfft(cols, n=self.ny, axis=-1, norm="forward")
 
     def to_spectral(self, values: np.ndarray, columns: int | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real samples, or their first ``columns`` columns."""
         rows = np.fft.rfft(values, axis=-1, norm="forward")[..., :columns]
         return np.fft.fft(rows, axis=-2, norm="forward")
-
-    def half_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
-        """The half-spectrum columns of (..., nx, ny) coefficients, a view."""
-        return coeffs[..., : self.ny // 2 + 1]
 
     def full_spectrum(self, half: np.ndarray) -> np.ndarray:
         """(..., nx, ny) Hermitian coefficients from their half spectrum or a leading block."""

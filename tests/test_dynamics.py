@@ -170,6 +170,12 @@ class TestFailureModes:
         with pytest.raises(UsageError):
             evolve(smooth_data(G), 0.0101, 1e-3, DispersionForm.ORIGINAL)
 
+    @pytest.mark.parametrize("t_final, dt", [(0.01, -0.001), (0.01, 0.0), (0.01, math.nan),
+                                             (math.nan, 0.001), (math.inf, 0.001), (0.0, -1.0)])
+    def test_invalid_step_sizes_are_usage_errors(self, t_final, dt):
+        with pytest.raises(UsageError):
+            evolve(smooth_data(G), t_final, dt, DispersionForm.ORIGINAL)
+
     def test_stride_mismatch(self):
         with pytest.raises(UsageError):
             evolve(smooth_data(G), 0.01, 1e-3, DispersionForm.ORIGINAL, sample_every=3)
@@ -198,9 +204,25 @@ def reference_nonlinear(grid, form, coeffs):
     return -form.nonlinear_derivative(grid) * sq * dealias_mask(grid)
 
 
+def full_tableau(grid, dt, form):
+    """The ETDRK4 coefficients on the full lattice, from the phi functions of
+    form.omega(grid): an oracle independent of the tableau under test."""
+    z = 1j * dt * form.omega(grid)
+    phi = zklab.dynamics._phi
+    phi1, phi2, phi3 = phi(1, z), phi(2, z), phi(3, z)
+    return EtdrkTableau(
+        e_full=np.exp(z),
+        e_half=np.exp(0.5 * z),
+        q=0.5 * dt * phi(1, 0.5 * z),
+        f1=dt * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+        f2=dt * (phi2 - 2.0 * phi3),
+        f3=dt * (4.0 * phi3 - phi2),
+    )
+
+
 def reference_step(coeffs, grid, dt, form):
     """One ETDRK4 step written out with the symbols rebuilt inside it."""
-    tab = etdrk4_tableau(grid, dt, form)
+    tab = full_tableau(grid, dt, form)
     uhat = coeffs * dealias_mask(grid)
 
     def nonlin(v):
@@ -238,7 +260,7 @@ class TestSpectralKernel:
         rng = np.random.default_rng(seed)
         shape = (nx, ny) if batch is None else (batch, nx, ny)
         coeffs = np.fft.fft2(rng.standard_normal(shape)) / (nx * ny)
-        got = spectral_kernel(grid, form).nonlinear(coeffs)
+        got = grid.full_spectrum(spectral_kernel(grid, form).band_nonlinear(coeffs))
         want = np.array([reference_nonlinear(grid, form, c)
                          for c in coeffs.reshape(-1, nx, ny)]).reshape(shape)
         scale = np.abs(want).max()
@@ -270,11 +292,26 @@ class TestSpectralKernel:
         assert ten == built(20)
         assert ten == {"omega": 1, "nonlinear_derivative": 1, "dealias_mask": 1}
 
-    @pytest.mark.parametrize("name", ["omega", "mask", "neg_dmask"])
+    @pytest.mark.parametrize("name", ["omega", "mask", "band_mask", "band_neg_dmask"])
     def test_kernel_arrays_are_read_only(self, name):
         arr = getattr(spectral_kernel(G, DispersionForm.ORIGINAL), name)
         with pytest.raises(ValueError):
             arr[1, 1] = arr[0, 0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           ny=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0), dt=st.floats(1e-6, 1e-2),
+           form=st.sampled_from(list(DispersionForm)))
+    @example(nx=8, ny=256, lx=2 * np.pi, ly=2 * np.pi, dt=1e-3, form=DispersionForm.ORIGINAL)
+    @example(nx=256, ny=8, lx=3.0, ly=0.5, dt=1e-3, form=DispersionForm.SYMMETRIZED)
+    def test_tableau_is_the_full_tableau_on_the_band_block(self, nx, ny, lx, ly, dt, form):
+        g = make_grid(nx, ny, lx, ly)
+        got, want = etdrk4_tableau(g, dt, form), full_tableau(g, dt, form)
+        for f in dataclasses.fields(EtdrkTableau):
+            block = getattr(got, f.name)
+            assert block.shape == (nx, g.band_columns)
+            np.testing.assert_array_equal(block, getattr(want, f.name)[:, :g.band_columns])
 
     @pytest.mark.parametrize("form", list(DispersionForm))
     def test_max_dispersion_over_band(self, form):
@@ -314,7 +351,7 @@ class TestHermitianSymmetry:
         kernel = spectral_kernel(g, form)
         phase_tol = self.TOL + 4.0 * np.finfo(float).eps * abs(t) * np.abs(kernel.omega).max()
         assert hermitian_defect(linear_propagator(u, t, form).coeffs) <= phase_tol
-        assert hermitian_defect(kernel.nonlinear(u.coeffs)) <= self.TOL
+        assert hermitian_defect(g.full_spectrum(kernel.band_nonlinear(u.coeffs))) <= self.TOL
         # a small step and amplitude keep three steps far from blow-up on any box
         dt = min(1e-3, 0.5 / max_dispersion(g, form))
         state = SolverState(from_coefficients(g, 0.1 * u.coeffs), 0.0, dt, form)
@@ -346,12 +383,12 @@ class TestHalfSpectrum:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((2, nx, ny)) + 1j * rng.standard_normal((2, nx, ny))
         hermitian = 0.5 * (a + np.conj(mirror(a)))
-        half = g.half_spectrum(hermitian)
+        half = hermitian[..., :ny // 2 + 1]
         assert half.shape == (2, nx, ny // 2 + 1)
         np.testing.assert_array_equal(g.full_spectrum(half), hermitian)
         # the half spectrum of a real field is numpy's rfft2 layout
         x = rng.standard_normal((nx, ny))
-        np.testing.assert_allclose(g.half_spectrum(make_field(g, x).coeffs),
+        np.testing.assert_allclose(make_field(g, x).coeffs[:, :ny // 2 + 1],
                                    np.fft.rfft2(x, norm="forward"), rtol=0.0, atol=1e-15)
 
     @settings(max_examples=25, deadline=None)
@@ -377,7 +414,7 @@ class TestHalfSpectrum:
         # a nonlinear rate |D| u dt of order 1e5 per step breaks down in a step or two;
         # boosted data fail at once, from a state whose squares overflow
         dt = 1e3 / max_dispersion(g, form)
-        amplitude = 1e5 / (dt * np.abs(spectral_kernel(g, form).neg_dmask).max()) * 10.0 ** boost
+        amplitude = 1e5 / (dt * np.abs(spectral_kernel(g, form).band_neg_dmask).max()) * 10.0 ** boost
         u = make_field(g, amplitude * np.random.default_rng(seed).standard_normal((nx, ny)))
         seen = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -396,11 +433,12 @@ class TestHalfSpectrum:
 def half_spectrum_step(coeffs, grid, tableau, form):
     """The stepper as it was before band pruning: every stage on all
     ny // 2 + 1 half columns through numpy's 2-D real transforms, and the full
-    spectrum rebuilt after the step."""
+    spectrum rebuilt after the step.  ``tableau`` is a full-lattice one
+    (``full_tableau``); the symbols are rebuilt here."""
     width = grid.ny // 2 + 1
-    kernel = spectral_kernel(grid, form)
+    mask = dealias_mask(grid)
     half_mask, half_neg_dmask = (np.ascontiguousarray(a[:, :width])
-                                 for a in (kernel.mask, kernel.neg_dmask))
+                                 for a in (mask, -form.nonlinear_derivative(grid) * mask))
     tab = EtdrkTableau(*(np.ascontiguousarray(getattr(tableau, f.name)[..., :width])
                          for f in dataclasses.fields(tableau)))
 
@@ -449,7 +487,7 @@ class TestBandStepper:
         u = make_field(g, 0.1 * noise).spectral()
         for form in DispersionForm:
             dt = min(1e-3, 0.5 / max_dispersion(g, form))
-            tableau = etdrk4_tableau(g, dt, form)
+            tableau, full = etdrk4_tableau(g, dt, form), full_tableau(g, dt, form)
             state, want = SolverState(u, 0.0, dt, form), u.coeffs
             with pytest.MonkeyPatch.context() as patch:
                 calls = Counter()
@@ -462,7 +500,7 @@ class TestBandStepper:
                 patch.setattr(zklab.spectral.Grid2D, "full_spectrum", counting)
                 for _ in range(20):
                     state = step_etdrk4(state, tableau)
-                    want = half_spectrum_step(want, g, tableau, form)
+                    want = half_spectrum_step(want, g, full, form)
             assert calls["full_spectrum"] == 0
             assert state.steps == 20 and state.t == pytest.approx(20 * dt, rel=1e-14)
             assert state.band.shape == (nx, ny // 3 + 1)

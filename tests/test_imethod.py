@@ -322,7 +322,7 @@ def _lambdas_reference(mult, w):
     mask = spectral_kernel(g, DispersionForm.ORIGINAL).mask
     msym = mult.symbol(g)
     dx_lap = g.xi_grid * (g.xi_grid ** 2 + g.eta_grid ** 2)
-    m_band = g.half_spectrum(msym * mask)
+    m_band = (msym * mask)[:, :g.ny // 2 + 1]
     m4_pair = g.xi_odd[:, None] * m_band
     c = w.coeffs
     wp, vp = g.to_physical(c), g.to_physical(c / msym)

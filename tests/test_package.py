@@ -37,10 +37,17 @@ def test_every_all_entry_exists():
     (zklab, "symmetrize_symbol"), (zklab.Grid2D, "lattice_radius"),
     (zklab.SpaceTimeField, "from_fields"), (zklab.SpaceTimeField, "leakage_scale"),
     (zklab.Field, "__add__"), (zklab.Field, "__sub__"), (zklab.Field, "__mul__"),
-    (zklab.Field, "__rmul__"),
+    (zklab.Field, "__rmul__"), (zklab.Grid2D, "half_spectrum"), (zklab.EtdrkTableau, "band"),
+    (zklab.dynamics.SpectralKernel, "nonlinear"),
 ])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_kernel_has_no_full_spectrum_nonlinear_multiplier():
+    grid = zklab.make_grid(16, 16, 1.0, 1.0)
+    assert not hasattr(zklab.dynamics.spectral_kernel(grid, zklab.DispersionForm.ORIGINAL),
+                       "neg_dmask")
 
 
 TRANSFORMS_2D = {"fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"}

@@ -252,7 +252,7 @@ class TestTransformPair:
         g = make_grid(nx, ny, lx, ly)
         coeffs = hermitian_coeffs(g, np.random.default_rng(seed), lead)
         got = g.to_physical(coeffs)
-        np.testing.assert_array_equal(got, g.to_physical(g.half_spectrum(coeffs).copy()))
+        np.testing.assert_array_equal(got, g.to_physical(coeffs[..., :ny // 2 + 1].copy()))
         want = np.real(np.fft.ifft2(coeffs, norm="forward"))
         assert got.shape == want.shape and got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
