@@ -9,7 +9,7 @@ randomized stability probes for the associated function-space estimates.
 from .errors import (ZKLabError, ConfigurationError, UsageError, DataError,
                      ResolutionError, InstabilityError)
 from .spectral import (Grid2D, Field, make_grid, make_field, from_coefficients,
-                       derivative, dealias, dealias_mask)
+                       derivative, dealias)
 from .bumps import chi, psi, smoothstep
 from .littlewood_paley import (LPProjector, dyadic_shells, is_dyadic,
                                lp_project, partition_values, shell_weight)

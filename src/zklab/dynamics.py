@@ -4,15 +4,17 @@ The stepper integrates the dealiased Fourier-Galerkin system
 
     d/dt uhat = i omega(zeta) uhat - D(zeta) * P_B[(u^2)hat],
 
-where D is the form's nonlinear derivative multiplier and P_B the 2/3-rule
-projection; both, with omega, are built once per (grid, form) in a shared
-SpectralKernel.  The linear part is exact (phase multipliers); the classical
+where D is the form's nonlinear derivative multiplier and P_B the projection onto
+``Grid2D.dealias_mask``; omega and -D * P_B are built once per (grid, form) in a
+shared SpectralKernel.  The linear part is exact (phase multipliers); the classical
 ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 
 Steps and their tableau run on the band block (``spectral`` docstring) with the
-one nonlinear term to_physical -> square -> to_spectral(columns) -> multiply; a
-SolverState carries the block and builds its full-spectrum ``field`` only when read.
+one nonlinear term to_physical -> square -> to_spectral(columns) -> multiply.  A
+SolverState is projected onto the band once, when built; every term of a step vanishes
+off the band, so steps carry the block with no projection of their own and build the
+full-spectrum ``field`` only when read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityError, UsageError
 from .forms import DispersionForm
-from .spectral import Field, Grid2D, dealias_mask
+from .spectral import Field, Grid2D
 
 __all__ = ["DT_OMEGA_LIMIT", "EtdrkTableau", "SolverState", "SpectralKernel",
            "spectral_kernel", "evolve", "etdrk4_tableau", "linear_propagator",
@@ -41,13 +43,11 @@ _PHI_SERIES_TERMS = 18
 
 @dataclass(frozen=True, eq=False)
 class SpectralKernel:
-    """Read-only omega, 2/3 mask, band max |omega|, and the mask and -D * mask on the band block."""
+    """Read-only omega, its max |omega| on the 2/3 band, and -D * mask on the band block."""
 
     grid: Grid2D
     omega: np.ndarray
-    mask: np.ndarray
     max_omega: float
-    band_mask: np.ndarray
     band_neg_dmask: np.ndarray
 
     def band_nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
@@ -64,13 +64,12 @@ class SpectralKernel:
 @lru_cache(maxsize=8)
 def spectral_kernel(grid: Grid2D, form: DispersionForm) -> SpectralKernel:
     """The kernel of (grid, form), built once; every caller shares its arrays."""
-    omega, mask = form.omega(grid), dealias_mask(grid)
-    band_mask = np.ascontiguousarray(mask[:, :grid.band_columns])
-    band_neg_dmask = -form.nonlinear_derivative(grid)[:, :grid.band_columns] * band_mask
-    for arr in (omega, mask, band_mask, band_neg_dmask):
+    omega, band = form.omega(grid), np.s_[:, :grid.band_columns]
+    band_neg_dmask = -form.nonlinear_derivative(grid)[band] * grid.dealias_mask[band]
+    for arr in (omega, band_neg_dmask):
         arr.setflags(write=False)
-    return SpectralKernel(grid, omega, mask, float(np.abs(omega[mask]).max()),
-                          band_mask, band_neg_dmask)
+    return SpectralKernel(grid, omega, float(np.abs(omega[grid.dealias_mask]).max()),
+                          band_neg_dmask)
 
 
 def max_dispersion(grid, form: DispersionForm) -> float:
@@ -129,8 +128,8 @@ def etdrk4_tableau(grid, dt: float, form: DispersionForm) -> EtdrkTableau:
 
 
 class SolverState:
-    """Stepper state: spectral field, clock, step size, form, counters.  Steps carry
-    only the field's band block ``band``; ``field`` is built from it on first read."""
+    """Stepper state: spectral field, clock, step size, form, counters.  It stores the
+    band block ``band`` of the dealiased field; ``field`` is built from it on first read."""
 
     def __init__(self, field: Field, t: float, dt: float, form: DispersionForm, steps: int = 0):
         if not dt > 0:
@@ -140,11 +139,9 @@ class SolverState:
             raise UsageError(
                 f"dt * max|omega| = {limit:.3g} exceeds the documented limit "
                 f"{DT_OMEGA_LIMIT:.3g}; reduce dt or the resolution")
-        vars(self).update(field=field, grid=field.grid, t=t, dt=dt, form=form, steps=steps)
-
-    @cached_property
-    def band(self) -> np.ndarray:
-        return self.field.coeffs[:, :self.grid.band_columns]
+        grid, band = field.grid, np.s_[:, :field.grid.band_columns]
+        vars(self).update(band=field.coeffs[band] * grid.dealias_mask[band], grid=grid,
+                          t=t, dt=dt, form=form, steps=steps)
 
     @cached_property
     def field(self) -> Field:
@@ -162,8 +159,7 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     """One ETDRK4 step with the tableau of (grid, state.dt, state.form), taken
     on the band block; raises InstabilityError on non-finite output."""
     grid, kernel = state.grid, spectral_kernel(state.grid, state.form)
-    tab, nonlinear = tableau, kernel.band_nonlinear
-    uhat = state.band * kernel.band_mask
+    tab, nonlinear, uhat = tableau, kernel.band_nonlinear, state.band
     n0 = nonlinear(uhat)
     a = tab.e_half * uhat + tab.q * n0
     na = nonlinear(a)
@@ -206,7 +202,7 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
         raise UsageError("t_final / dt must be divisible by sample_every")
 
     frames = np.empty((n_steps // sample_every + 1, grid.nx, grid.ny), dtype=np.complex128)
-    frames[0] = u0.coeffs * spectral_kernel(grid, form).mask
+    frames[0] = u0.coeffs * grid.dealias_mask
     if diagnostics is not None:
         diagnostics(0.0, Field(grid, frames[0], "spectral"))
     if n_steps:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import evolve, spectral_kernel
+from .dynamics import evolve
 from .errors import DataError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
@@ -101,7 +101,7 @@ def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> floa
     conserves up to integrator error.  The gradient term is a weighted sum of
     |uhat|^2 (Parseval) and the cubic term takes one transform.
     """
-    u = field.coeffs * spectral_kernel(field.grid, form).mask
+    u = field.coeffs * field.grid.dealias_mask
     return _energy(field.grid, form, u, field.grid.to_physical(u))
 
 
@@ -245,7 +245,7 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
     the band, so the sums, S and P run on the band block.  The 2/3 gate of m_band is a
     no-op on the zero-sum hyperplane of M3 but discards pair products that would wrap.
     """
-    mask, msym = spectral_kernel(grid, DispersionForm.ORIGINAL).mask, mult.symbol(grid)
+    mask, msym = grid.dealias_mask, mult.symbol(grid)
     dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
     m, dx_lap, m_band = (a[:, :grid.band_columns] for a in (msym, dx_lap, msym * mask))
 

@@ -38,8 +38,8 @@ def picard_horizon(besov_half_norm: float, c0: float = 1.0) -> float:
     contraction; c0 = 1.0 was fitted so that small-data runs on the default
     boxes contract with margin.
     """
-    if besov_half_norm < 0:
-        raise UsageError("norm must be nonnegative")
+    if not 0 <= besov_half_norm < np.inf:
+        raise UsageError(f"norm must be finite and nonnegative, got {besov_half_norm}")
     r = 4.0 * c0 * besov_half_norm
     if r == 0:
         return 1.0
@@ -84,8 +84,8 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
     """
     from .norms import y_half_proxy
 
-    if t_horizon <= 0:
-        raise UsageError("horizon must be positive")
+    if not 0 < t_horizon < np.inf:
+        raise UsageError(f"horizon must be positive and finite, got {t_horizon}")
     if n_iter < 1:
         raise UsageError("need at least one iteration")
     if num_nodes < 9:
@@ -99,7 +99,7 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
 
     band = np.s_[:, :grid.band_columns]
     phase = kernel.phase(times, band)
-    free = phase * np.where(kernel.band_mask, u0.spectral().coeffs[band], 0.0)
+    free = phase * np.where(grid.dealias_mask[band], u0.spectral().coeffs[band], 0.0)
 
     def apply_map(coeffs):
         out = cut * free

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import scaled_l2, spectral_kernel
+from .dynamics import scaled_l2
 from .errors import DataError
 from .forms import DispersionForm
 from .imethod import _energy, energy, mass
@@ -183,8 +183,7 @@ class DiagnosticsRecorder:
     def __call__(self, t: float, field: Field) -> None:
         grid, phys = field.grid, field.physical()
         m = mass(phys)
-        in_band = field.space == "spectral" and not np.any(
-            field.data[~spectral_kernel(grid, self.form).mask])
+        in_band = field.space == "spectral" and not np.any(field.data[~grid.dealias_mask])
         e = (_energy(grid, self.form, field.data, phys.data) if in_band
              else energy(field, self.form))
         l2 = math.sqrt(m) if math.isfinite(m) else scaled_l2(phys.data, grid.cell_area)

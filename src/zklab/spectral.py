@@ -18,8 +18,9 @@ Conventions fixed here and relied on everywhere else:
   symbol (odd derivatives, omega, the nonlinear derivative) is zeroed there
   to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
   ``eta_odd`` apply it; every symbol in the package reads them.
-* Band block: in-band Hermitian coefficients are fixed by their first ``band_columns``, the
-  one layout of the stepper, Picard and the I-method; ``Field`` and public arrays stay full.
+* Band block: Hermitian coefficients in the 2/3 band (``Grid2D.dealias_mask``) are fixed by their
+  first ``band_columns``, the one layout of the stepper, Picard and the I-method; ``Field`` and
+  public arrays stay full.
   The ``ny // 2 + 1`` half spectrum lives only in the transform pair and ``full_spectrum``.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import DataError, UsageError
 
 __all__ = ["Grid2D", "Field", "make_grid", "make_field", "from_coefficients",
-           "derivative", "dealias", "dealias_mask"]
+           "derivative", "dealias"]
 
 
 def _is_pow2(n: int) -> bool:
@@ -128,6 +129,14 @@ class Grid2D:
         """False on the unpaired Nyquist row j = -nx/2 and column k = -ny/2."""
         return ((self.jx != -(self.nx // 2))[:, None]
                 & (self.jy != -(self.ny // 2))[None, :])
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """Read-only 2/3-rule mask: integer modes with |j| > nx/3 or |k| > ny/3 are dropped."""
+        jmax_x, jmax_y = self.band_index
+        mask = (np.abs(self.jx) <= jmax_x)[:, None] & (np.abs(self.jy) <= jmax_y)[None, :]
+        mask.setflags(write=False)
+        return mask
 
     @property
     def band_columns(self) -> int:
@@ -239,12 +248,6 @@ def derivative(field: Field, ax: int, ay: int) -> Field:
     return Field(g, field.coeffs * mult_x[:, None] * mult_y[None, :], "spectral")
 
 
-def dealias_mask(grid: Grid2D) -> np.ndarray:
-    """2/3-rule mask: integer modes with |j| > nx/3 or |k| > ny/3 are dropped."""
-    jmax_x, jmax_y = grid.band_index
-    return (np.abs(grid.jx) <= jmax_x)[:, None] & (np.abs(grid.jy) <= jmax_y)[None, :]
-
-
 def dealias(field: Field) -> Field:
     """Zero every mode outside the 2/3 band.  Idempotent."""
-    return field.multiplier(dealias_mask(field.grid))
+    return field.multiplier(field.grid.dealias_mask)

@@ -38,7 +38,11 @@ def test_every_all_entry_exists():
     (zklab.SpaceTimeField, "from_fields"), (zklab.SpaceTimeField, "leakage_scale"),
     (zklab.Field, "__add__"), (zklab.Field, "__sub__"), (zklab.Field, "__mul__"),
     (zklab.Field, "__rmul__"), (zklab.Grid2D, "half_spectrum"), (zklab.EtdrkTableau, "band"),
-    (zklab.dynamics.SpectralKernel, "nonlinear"),
+    (zklab.dynamics.SpectralKernel, "nonlinear"), (zklab, "dealias_mask"),
+    pytest.param(zklab.spectral, "dealias_mask", id="spectral-dealias_mask"),
+    *(pytest.param(zklab.dynamics.spectral_kernel(zklab.make_grid(16, 16, 1.0, 1.0),
+                                                  zklab.DispersionForm.ORIGINAL),
+                   name, id=f"SpectralKernel-{name}") for name in ("mask", "band_mask")),
 ])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)

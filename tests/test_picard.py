@@ -16,7 +16,6 @@ from zklab import (
     picard_iterate,
 )
 from zklab.ic import random_band_limited
-from zklab.spectral import dealias_mask
 
 G = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
 
@@ -39,6 +38,11 @@ class TestHorizonRule:
     def test_negative_rejected(self):
         with pytest.raises(UsageError):
             picard_horizon(-1.0)
+
+    @pytest.mark.parametrize("norm", [np.inf, np.nan])
+    def test_non_finite_norm_rejected(self, norm):
+        with pytest.raises(UsageError):
+            picard_horizon(norm)
 
 
 class TestIteration:
@@ -73,7 +77,7 @@ class TestIteration:
         noisy, clean = (picard_iterate(u, 0.05, 2, form, num_nodes=17) for u in (u0, dealias(u0)))
         for a, b in zip(noisy, clean):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
-        assert np.abs(noisy[0].coeffs[:, ~dealias_mask(g)]).max() == 0.0
+        assert np.abs(noisy[0].coeffs[:, ~g.dealias_mask]).max() == 0.0
 
     def test_cutoff_window_covers_support(self):
         u0 = self.small_data()
@@ -118,3 +122,8 @@ class TestIteration:
             picard_iterate(u0, 0.1, 0, DispersionForm.ORIGINAL)
         with pytest.raises(UsageError):
             picard_iterate(u0, 0.1, 3, DispersionForm.ORIGINAL, num_nodes=5)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(UsageError):
+            picard_iterate(self.small_data(), horizon, 3, DispersionForm.ORIGINAL, num_nodes=17)

@@ -15,7 +15,6 @@ from zklab import (
     Grid2D,
     UsageError,
     dealias,
-    dealias_mask,
     derivative,
     energy,
     from_coefficients,
@@ -37,7 +36,7 @@ def random_band_coeffs(g, rng, width=None):
     """Hermitian coefficients supported in the 2/3 band."""
     vals = rng.standard_normal((g.nx, g.ny))
     coeffs = np.fft.fft2(vals) / (g.nx * g.ny)
-    coeffs *= dealias_mask(g)
+    coeffs *= g.dealias_mask
     if width is not None:
         jx = np.fft.fftfreq(g.nx, 1.0 / g.nx)
         jy = np.fft.fftfreq(g.ny, 1.0 / g.ny)
@@ -92,7 +91,7 @@ class TestGrid:
         edges = (2 * np.pi * int(nx / 3) / lx, 2 * np.pi * int(ny / 3) / ly)
         assert g.band_radius == pytest.approx(min(edges), rel=1e-15)
         inside = g.abs_zeta <= g.band_radius
-        assert np.all(dealias_mask(g)[inside])
+        assert np.all(g.dealias_mask[inside])
 
 
 class TestFieldConversions:
@@ -171,7 +170,7 @@ class TestDerivative:
 class TestDealias:
     def test_band_edges(self):
         g = grid(16, 16)
-        mask = dealias_mask(g)
+        mask = g.dealias_mask
         # nx/3 = 5.33: |j| = 5 kept, |j| = 6 dropped
         assert mask[5, 0] and mask[0, 5]
         assert not mask[6, 0] and not mask[0, 6]
@@ -185,12 +184,33 @@ class TestDealias:
             jx = np.fft.fftfreq(nx, 1.0 / nx)
             jy = np.fft.fftfreq(ny, 1.0 / ny)
             want = (np.abs(jx)[:, None] <= nx / 3.0) & (np.abs(jy)[None, :] <= ny / 3.0)
-            np.testing.assert_array_equal(dealias_mask(g), want)
+            np.testing.assert_array_equal(g.dealias_mask, want)
             assert g.band_index == (int(np.abs(jx[want.any(axis=1)]).max()),
                                     int(np.abs(jy[want.any(axis=0)]).max()))
             # the band block is the shortest leading block of half columns holding the band
             assert want[:, g.band_columns - 1].any()
             assert not want[:, g.band_columns:ny // 2 + 1].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           ny=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0))
+    @example(nx=8, ny=256, lx=0.5, ly=50.0)
+    @example(nx=256, ny=16, lx=3.0, ly=0.5)
+    def test_grid_owns_one_read_only_mask(self, nx, ny, lx, ly):
+        """Grid2D.dealias_mask is built once per grid, cannot be written, and
+        is the 2/3 rule |j| <= int(nx/3), |k| <= int(ny/3)."""
+        g = grid(nx, ny, lx, ly)
+        mask = g.dealias_mask
+        assert g.dealias_mask is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        jx = np.fft.fftfreq(nx, 1.0 / nx).astype(np.int64)
+        jy = np.fft.fftfreq(ny, 1.0 / ny).astype(np.int64)
+        want = (np.abs(jx) <= int(nx / 3.0))[:, None] & (np.abs(jy) <= int(ny / 3.0))[None, :]
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, want)
 
     def test_idempotent(self):
         g = grid()
@@ -272,7 +292,7 @@ class TestTransformPair:
     @given(**BOXES, form=st.sampled_from(list(DispersionForm)))
     def test_energy_matches_three_transforms(self, nx, ny, lx, ly, seed, form):
         g = make_grid(nx, ny, lx, ly)
-        c = hermitian_coeffs(g, np.random.default_rng(seed)) * dealias_mask(g)
+        c = hermitian_coeffs(g, np.random.default_rng(seed)) * g.dealias_mask
 
         def phys(a):
             return np.real(np.fft.ifft2(a, norm="forward"))
