@@ -56,8 +56,8 @@ class SpectralKernel:
         return self.band_neg_dmask * self.grid.to_spectral(vals * vals, self.grid.band_columns)
 
     def phase(self, t, support=...) -> np.ndarray:
-        """exp(i t omega), shape t.shape + (nx, ny), or t.shape + (count,) on the
-        columns of a boolean support mask: the package's one free phase."""
+        """exp(i t omega) at the lattice points ``support`` indexes (all by default), shape
+        t.shape + omega[support].shape: the package's one free phase."""
         return np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), self.omega[support]))
 
 

@@ -89,23 +89,26 @@ def lebesgue_norm(field: Field, r: float) -> float:
 
 # -- space-time norms ---------------------------------------------------------
 
-def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> float:
-    """L^q in time of the spatial L^r norm, trapezoid rule over the window."""
-    if stf.num_frames < 1:
-        raise UsageError("empty trajectory")
-    vals = np.abs(stf.values())
+def _lebesgue_qr(values: np.ndarray, dt: float, q: float, r: float, cell_area: float) -> float:
+    """mixed_lebesgue_norm of real frames (K, nx, ny) with step dt; overwrites them."""
+    vals = np.abs(values, out=values)
     if np.isinf(r):
         framewise = vals.max(axis=(1, 2))
     else:
         if r < 1:
             raise UsageError(f"r must be >= 1, got {r}")
-        framewise = (np.sum(vals ** r, axis=(1, 2)) * stf.grid.cell_area) ** (1.0 / r)
+        framewise = (np.sum(np.power(vals, r, out=vals), axis=(1, 2)) * cell_area) ** (1.0 / r)
     if np.isinf(q):
         return float(framewise.max())
     if q < 1:
         raise UsageError(f"q must be >= 1, got {q}")
-    weights = trapezoid_weights(stf.num_frames, stf.dt)
+    weights = trapezoid_weights(len(framewise), dt)
     return float(np.sum(weights * framewise ** q) ** (1.0 / q))
+
+
+def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> float:
+    """L^q in time of the spatial L^r norm, trapezoid rule over the window."""
+    return _lebesgue_qr(stf.values(), stf.dt, q, r, stf.grid.cell_area)
 
 
 def xsb_norm(stf: SpaceTimeField, s: float, b: float, form: DispersionForm) -> float:

@@ -20,10 +20,10 @@ from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .ic import random_band_limited, shell_field
 from .littlewood_paley import LPProjector
-from .norms import mixed_lebesgue_norm, twisted_variation
+from .norms import _lebesgue_qr, twisted_variation
 from .quadrature import definite_integral, trapezoid_weights
 from .spectral import Field, Grid2D
-from .trajectory import SpaceTimeField
+from .trajectory import SpaceTimeField, hann_window
 
 __all__ = ["ProbeReport", "CutoffDecomposition", "strichartz_probe",
            "maximal_derivative_probe", "bilinear_probe", "gh_bilinear_probe",
@@ -79,21 +79,25 @@ def _ensemble_report(estimate: str, one, base: tuple, other: tuple, samples: int
                        caveat=caveat)
 
 
-def _free_trajectory(u0: Field, form: DispersionForm, span: float,
-                     frames: int) -> SpaceTimeField:
-    """Free wave from u0 at ``frames`` uniform times, phased on u0's support only."""
+def _frame_times(span: float, frames: int) -> np.ndarray:
+    """``frames`` uniform times from 0 to span; the step is times[1]."""
     if frames < 2:
         raise UsageError(f"frames must be at least 2 (the window endpoints), got {frames}")
-    dt, support = span / (frames - 1), u0.coeffs != 0
-    coeffs = np.zeros((frames,) + support.shape, dtype=np.complex128)
-    coeffs[:, support] = (spectral_kernel(u0.grid, form).phase(dt * np.arange(frames), support)
-                          * u0.coeffs[support])
-    return SpaceTimeField(u0.grid, 0.0, dt, coeffs)
+    return span / (frames - 1) * np.arange(frames)
 
 
-def _windowed_l2(traj: SpaceTimeField, sq_norms: np.ndarray) -> float:
-    """mixed_lebesgue_norm(traj.windowed(), 2, 2) from the frames' squared L2 norms."""
-    weights = trapezoid_weights(traj.num_frames, traj.dt) * traj.window ** 2
+def _free_block(u0: Field, form: DispersionForm, times: np.ndarray) -> np.ndarray:
+    """Free wave from u0 at ``times`` on the leading half-spectrum columns that hold u0."""
+    half = u0.coeffs[:, :u0.grid.ny // 2 + 1]
+    j, k = support = np.nonzero(half)
+    block = np.zeros((len(times), u0.grid.nx, 1 + k.max(initial=0)), dtype=np.complex128)
+    block[:, j, k] = spectral_kernel(u0.grid, form).phase(times, support) * half[support]
+    return block
+
+
+def _windowed_l2(dt: float, sq_norms: np.ndarray) -> float:
+    """Windowed space-time L2 norm of frames from their squared L2 norms."""
+    weights = trapezoid_weights(len(sq_norms), dt) * hann_window(len(sq_norms)) ** 2
     return float(np.sqrt(np.sum(weights * sq_norms)))
 
 
@@ -106,8 +110,10 @@ def _doubled(grid: Grid2D) -> Grid2D:
 def _free_wave_norm(u0: Field, form: DispersionForm, weight, q: float, r: float,
                     span: float, frames: int) -> float:
     """Windowed L^q_t L^r_xy norm of the free wave from u0 times ``weight(grid)``."""
-    traj = _free_trajectory(u0.multiplier(weight(u0.grid)), form, span, frames)
-    return mixed_lebesgue_norm(traj.windowed(), q, r)
+    times, grid = _frame_times(span, frames), u0.grid
+    block = _free_block(u0.multiplier(weight(grid)), form, times)
+    block *= hann_window(frames)[:, None, None]
+    return _lebesgue_qr(grid.to_physical(block), times[1], q, r, grid.cell_area)
 
 
 def _free_wave_report(estimate: str, form: DispersionForm, weight, q: float, r: float,
@@ -190,11 +196,11 @@ def bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
                          "(at least two octaves: N2 >= 4 N1); swap the roles")
 
     def one(n_lo: float, n_hi: float, i: int) -> float:
-        tu, tv = (_free_trajectory(shell_field(grid, n, seed + 2 * i + d),
-                                   DispersionForm.ORIGINAL, span, frames)
-                  for d, n in enumerate((n_lo, n_hi)))
-        prod = tu.values() * tv.values()
-        lhs = _windowed_l2(tu, np.sum(prod * prod, axis=(1, 2)) * grid.cell_area)
+        times = _frame_times(span, frames)
+        prod = np.multiply(*(grid.to_physical(_free_block(shell_field(grid, n, seed + 2 * i + d),
+                                                          DispersionForm.ORIGINAL, times))
+                             for d, n in enumerate((n_lo, n_hi))))
+        lhs = _windowed_l2(times[1], np.sum(prod * prod, axis=(1, 2)) * grid.cell_area)
         return lhs * n_hi / np.sqrt(n_lo)
 
     return _shell_pair_report("bilinear-lowhigh", one, n1, n2, grid, samples, seed,
@@ -218,15 +224,17 @@ def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
         raise UsageError("this probe requires N2 <= N1; swap the arguments")
 
     def one(n_big: float, n_small: float, i: int) -> float:
+        times = _frame_times(span, frames)
         fields = [shell_field(grid, n, seed + 2 * i + d) for d, n in enumerate((n_big, n_small))]
         # the index ranges of the rows j and columns k that each factor's modes span
         (j1, k1), (j2, k2) = spans = [[np.arange(m.min(), m.max() + 1) for m in (
             grid.jx[f.coeffs.any(axis=1)], grid.jy[f.coeffs.any(axis=0)])] for f in fields]
         size = len(k1) + len(k2) - 1
-        trajs = [_free_trajectory(f, DispersionForm.SYMMETRIZED, span, frames) for f in fields]
+        kernel = spectral_kernel(grid, DispersionForm.SYMMETRIZED)
         a, b = (np.zeros((len(j), frames, size), dtype=np.complex128) for j, _ in spans)
-        for rows, traj, (j, k) in zip((a, b), trajs, spans):
-            rows[..., k % size] = traj.coeffs[:, j % grid.nx][..., k % grid.ny].swapaxes(0, 1)
+        for rows, f, (j, k) in zip((a, b), fields, spans):
+            block = np.ix_(j % grid.nx, k % grid.ny)
+            rows[..., k % size] = (kernel.phase(times, block) * f.coeffs[block]).swapaxes(0, 1)
             rows[:] = np.fft.ifft(rows, axis=-1, norm="forward")
         out = np.zeros((len(j1) + len(j2) - 1, frames, size), dtype=np.complex128)
         xi1, xi2 = grid.xi[j1 % grid.nx][:, None], grid.xi[j2 % grid.nx]
@@ -234,7 +242,7 @@ def gh_bilinear_probe(n1: float, n2: float, grid: Grid2D, samples: int = 32,
         for m in range(len(j1)):  # out[m + n] is row j1[m] + j2[n]
             out[m:m + len(j2)] += weight[m, :, None, None] * b * a[m]
         sq = np.sum(out.real ** 2 + out.imag ** 2, axis=(0, 2)) * (grid.area / size)
-        return _windowed_l2(trajs[0], sq) / np.sqrt(n_small)
+        return _windowed_l2(times[1], sq) / np.sqrt(n_small)
 
     return _shell_pair_report("gh-bilinear", one, n1, n2, grid, samples, seed,
                               span, frames)
@@ -404,7 +412,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
                          "or N1 ~ N2 >= N3 (balanced); got "
                          f"({n1}, {n2}, {n3})")
     form = DispersionForm.SYMMETRIZED
-    floor = np.inf
+    floor, longer = np.inf, []
 
     def one(g: Grid2D, tval: float, i: int) -> float:
         nonlocal floor
@@ -421,12 +429,14 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
                                 + shell_field(g, n3, seed + 3 * i + 2).coeffs),
                    "spectral")
         steps = num_steps or _trilinear_steps(n1, n2, n3, 2.0 * tval)
-        stride = max(1, steps // 64)
-        dt = 2.0 * tval / steps
+        stride, dt = max(1, steps // 64), 2.0 * tval / steps
+        # 4T often takes twice 2T's auto steps, at the same dt: the base rung then runs on into 4T
+        windows = 2 if (g is grid and tval == t_length and not num_steps
+                        and _trilinear_steps(n1, n2, n3, 4.0 * tval) == 2 * steps) else 1
         state = SolverState(u0, 0.0, dt, form)
         tableau = etdrk4_tableau(g, dt, form)
-        integrand = np.empty(steps + 1)
-        kept = []
+        integrand = np.empty(windows * steps + 1)
+        kept, ratios = [], []
 
         def record(st: SolverState):
             a, b, d = g.to_physical(st.band * factors)
@@ -435,19 +445,21 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
                 kept.append(st.field.coeffs)
 
         record(state)
-        for _ in range(steps):
+        for _ in range(windows * steps):
             state = step_etdrk4(state, tableau)
             record(state)
-        times = dt * np.arange(steps + 1)
-        form_val = abs(definite_integral(chi(times / tval) * integrand, dt))
-        coarse = np.stack(kept)
-        proxies = []
-        for n in (n1, n2, n3):
-            stf = SpaceTimeField(g, 0.0, stride * dt, coarse * weights[n][None])
-            proxies.append(twisted_variation(stf, 2.0, form))
-        floor = min(floor, *proxies)
-        rhs = tval ** power_t * scale * proxies[0] * proxies[1] * proxies[2]
-        return form_val / rhs if rhs > 0 else np.inf
+        for w in range(1, windows + 1):  # the window 2 w tval, with frames every w * stride
+            times = dt * np.arange(w * steps + 1)
+            form_val = abs(definite_integral(chi(times / (w * tval)) * integrand[:len(times)], dt))
+            coarse = np.stack(kept[:w * steps // stride + 1:w])
+            proxies = [twisted_variation(SpaceTimeField(g, 0.0, w * stride * dt,
+                                                        coarse * weights[n][None]), 2.0, form)
+                       for n in (n1, n2, n3)]
+            floor = min(floor, *proxies)
+            rhs = (w * tval) ** power_t * scale * proxies[0] * proxies[1] * proxies[2]
+            ratios.append(form_val / rhs if rhs > 0 else np.inf)
+        longer.extend(ratios[1:])
+        return ratios[0]
 
     report = _ensemble_report(
         "trilinear-form", one, (grid, t_length), (_doubled(grid), t_length), samples,
@@ -455,7 +467,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
                "nx": grid.nx, "num_steps": num_steps, "samples": samples,
                "amplitude": amplitude},
         caveat=TORUS_CAVEAT + "; V2-proxy norms in place of U2/V2")
-    longer = [one(grid, 2.0 * t_length, i) for i in range(samples)]
+    longer = longer or [one(grid, 2.0 * t_length, i) for i in range(samples)]
     return replace(report, params={
         **report.params, "proxy_floor": floor,
         "t_doubling_drift": _drift(report.ratio, float(np.median(longer)))})

@@ -41,6 +41,11 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)  # every operator on a grid shares its cached arrays
+    return arr
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform periodic box [0, lx) x [0, ly) with power-of-two sampling."""
@@ -60,50 +65,50 @@ class Grid2D:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.nx) * (self.lx / self.nx)
+        return _frozen(np.arange(self.nx) * (self.lx / self.nx))
 
     @cached_property
     def y(self) -> np.ndarray:
-        return np.arange(self.ny) * (self.ly / self.ny)
+        return _frozen(np.arange(self.ny) * (self.ly / self.ny))
 
     @cached_property
     def xi(self) -> np.ndarray:
         """Wavenumbers 2*pi*j/lx, FFT order, j in {-nx/2, ..., nx/2 - 1}."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.lx / self.nx)
+        return _frozen(2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.lx / self.nx))
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.ly / self.ny)
+        return _frozen(2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.ly / self.ny))
 
     @cached_property
     def jx(self) -> np.ndarray:
         """Integer modes j in FFT order, {0, ..., nx/2 - 1, -nx/2, ..., -1}."""
-        return np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(np.int64)
+        return _frozen(np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(np.int64))
 
     @cached_property
     def jy(self) -> np.ndarray:
-        return np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(np.int64)
+        return _frozen(np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(np.int64))
 
     @cached_property
     def xi_odd(self) -> np.ndarray:
         """xi zeroed on the Nyquist row (column 0 of nyquist_mask is the x rule)."""
-        return np.where(self.nyquist_mask[:, 0], self.xi, 0.0)
+        return _frozen(np.where(self.nyquist_mask[:, 0], self.xi, 0.0))
 
     @cached_property
     def eta_odd(self) -> np.ndarray:
-        return np.where(self.nyquist_mask[0], self.eta, 0.0)
+        return _frozen(np.where(self.nyquist_mask[0], self.eta, 0.0))
 
     @cached_property
     def xi_grid(self) -> np.ndarray:
-        return self.xi[:, None] + 0.0 * self.eta[None, :]
+        return _frozen(self.xi[:, None] + 0.0 * self.eta[None, :])
 
     @cached_property
     def eta_grid(self) -> np.ndarray:
-        return 0.0 * self.xi[:, None] + self.eta[None, :]
+        return _frozen(0.0 * self.xi[:, None] + self.eta[None, :])
 
     @cached_property
     def abs_zeta(self) -> np.ndarray:
-        return np.hypot(self.xi_grid, self.eta_grid)
+        return _frozen(np.hypot(self.xi_grid, self.eta_grid))
 
     @cached_property
     def band_index(self) -> tuple[int, int]:
@@ -127,16 +132,14 @@ class Grid2D:
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """False on the unpaired Nyquist row j = -nx/2 and column k = -ny/2."""
-        return ((self.jx != -(self.nx // 2))[:, None]
-                & (self.jy != -(self.ny // 2))[None, :])
+        return _frozen((self.jx != -(self.nx // 2))[:, None]
+                       & (self.jy != -(self.ny // 2))[None, :])
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Read-only 2/3-rule mask: integer modes with |j| > nx/3 or |k| > ny/3 are dropped."""
+        """2/3-rule mask: integer modes with |j| > nx/3 or |k| > ny/3 are dropped."""
         jmax_x, jmax_y = self.band_index
-        mask = (np.abs(self.jx) <= jmax_x)[:, None] & (np.abs(self.jy) <= jmax_y)[None, :]
-        mask.setflags(write=False)
-        return mask
+        return _frozen((np.abs(self.jx) <= jmax_x)[:, None] & (np.abs(self.jy) <= jmax_y)[None, :])
 
     @property
     def band_columns(self) -> int:

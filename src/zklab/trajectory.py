@@ -10,7 +10,6 @@ reconstruct the windowed field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +21,11 @@ from .littlewood_paley import is_dyadic
 from .spectral import Field, Grid2D
 
 __all__ = ["SpaceTimeField", "modulation_project"]
+
+
+def hann_window(k: int) -> np.ndarray:
+    """Periodic Hann taper over k samples, the package's one time window."""
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(k) / k))
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,6 @@ class SpaceTimeField:
 
     # -- temporal analysis ----------------------------------------------------
 
-    @cached_property
-    def window(self) -> np.ndarray:
-        """Periodic Hann taper over the K samples."""
-        k = self.num_frames
-        return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(k) / k))
-
     @property
     def tau(self) -> np.ndarray:
         """Temporal frequencies 2*pi*fftfreq(K, dt), FFT order."""
@@ -76,14 +74,13 @@ class SpaceTimeField:
 
     def windowed(self) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.t0, self.dt,
-                              self.coeffs * self.window[:, None, None])
+                              self.coeffs * hann_window(self.num_frames)[:, None, None])
 
     def temporal_transform(self) -> np.ndarray:
         """DFT in time of the windowed frames: c[m] = (1/K) sum_l w_l u_l e^{-i 2 pi m l / K}."""
         if self.num_frames < 8:
             raise ResolutionError("temporal transforms need at least 8 samples")
-        windowed = self.coeffs * self.window[:, None, None]
-        return np.fft.fft(windowed, axis=0) / self.num_frames
+        return np.fft.fft(self.windowed().coeffs, axis=0) / self.num_frames
 
     def from_temporal_transform(self, cmod: np.ndarray) -> "SpaceTimeField":
         frames = np.fft.ifft(cmod, axis=0) * self.num_frames

@@ -2,6 +2,7 @@
 deterministic cutoff decomposition.  Drift magnitudes on the frozen parameter
 sets are exercised by the acceptance suite."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,10 +27,11 @@ from zklab import (
 )
 from hypothesis import given, settings, strategies as st
 
+from zklab import probes
 from zklab.dynamics import spectral_kernel
 from zklab.ic import random_band_limited, shell_field
 from zklab.norms import mixed_lebesgue_norm
-from zklab.probes import _free_trajectory
+from zklab.probes import _frame_times, _free_block
 from zklab.spectral import Grid2D, from_coefficients
 from zklab.trajectory import SpaceTimeField, modulation_project
 
@@ -255,6 +257,27 @@ class TestSharedDispersion:
                          (DispersionForm.SYMMETRIZED, g32): 1}
 
 
+def test_trilinear_window_doubling_runs_on_from_the_base_rung(monkeypatch):
+    """At auto step counts 2T takes 384 steps and 4T 768 at the same dt, so the base
+    rung steps on into the doubled window instead of stepping it again from u0; the
+    report is the one recorded with the three rungs stepped separately."""
+    steps = Counter()
+    original = probes.step_etdrk4
+
+    def counting(state, tableau):
+        steps[state.grid.nx] += 1
+        return original(state, tableau)
+
+    monkeypatch.setattr(probes, "step_etdrk4", counting)
+    row = trilinear_form_probe(8.0, 2.0, 8.0, 0.125, G, samples=1, seed=0).to_row()
+    assert steps == {32: 768, 64: 384}
+    recorded = {"lhs": 1990.4415404449583, "drift": 3.1698070778460137,
+                "param_proxy_floor": 9.41244775272524e-05,
+                "param_t_doubling_drift": 10.42783093427986}
+    for key, value in recorded.items():
+        assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
 class TestFrameCount:
     @pytest.mark.parametrize("call", [
         lambda f: strichartz_probe(6.0, 4.0, G16, samples=1, frames=f),
@@ -270,7 +293,8 @@ class TestFrameCount:
 
 
 class TestFreeTrajectorySupport:
-    """The free wave is phased on u0's support only; off it the coefficients are 0."""
+    """The free-wave block holds the half-spectrum columns up to u0's last non-zero
+    one, phased on u0's support only; past it the full-lattice wave is 0."""
 
     @staticmethod
     def _data(g, kind, seed):
@@ -295,9 +319,13 @@ class TestFreeTrajectorySupport:
                                                   kind, span, frames):
         g = make_grid(nx, ny, lx, ly)
         u0 = self._data(g, kind, seed)
-        traj = _free_trajectory(u0, form, span, frames)
-        full = spectral_kernel(g, form).phase(traj.dt * np.arange(frames)) * u0.coeffs
-        assert np.array_equal(traj.coeffs, full)
+        times = _frame_times(span, frames)
+        block = _free_block(u0, form, times)
+        full = spectral_kernel(g, form).phase(times) * u0.coeffs
+        half, cols = full[..., :g.ny // 2 + 1], block.shape[-1]
+        assert np.array_equal(block, half[..., :cols])
+        assert np.any(half[..., cols - 1]) and not np.any(half[..., cols:])
+        assert np.array_equal(g.to_physical(block), g.to_physical(full))
 
 
 # The left sides as computed before the probes worked on the data's support:
@@ -361,3 +389,47 @@ class TestLeftSidesMatchTheReference:
         rep = bilinear_probe(2.0, 8.0, grid, samples=1, seed=seed, frames=9)
         ref = _bilinear_reference(2.0, 8.0, grid, seed, 1.0, 9)
         assert rep.lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+class TestFreeWaveNormsMatchTheReference:
+    """With one sample the report lhs is the free-wave norm, built on the data's
+    column block; it must equal the windowed full-lattice norm bit for bit."""
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS + [Grid2D(2 * g.nx, 2 * g.ny, g.lx, g.ly)
+                                                        for g in REFERENCE_GRIDS],
+                             ids=["32x32", "32x64", "64x16", "64x64", "64x128", "128x32"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_strichartz_l4_and_maximal(self, grid, seed):
+        u0 = random_band_limited(grid, seed, kmax=grid.band_radius, norm="sobolev",
+                                 norm_s=0.0, amplitude=1.0)
+        mode = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
+        mode[1, 0] = mode[-1, 0] = 0.5 / np.sqrt(grid.area * 0.5)
+        maximal_weight = np.abs(grid.xi_grid) ** (0.25 - 0.01)
+        l4_weight = (np.abs(grid.xi_grid) ** 0.125) * (np.abs(grid.eta_grid) ** 0.125)
+
+        def reference(data, weight, form, q, r):
+            wave = _full_lattice_wave(data.multiplier(weight), form, 1.0, 9)
+            return mixed_lebesgue_norm(wave.windowed(), q, r)
+
+        strichartz = strichartz_probe(6.0, 4.0, grid, samples=1, seed=seed, frames=9)
+        assert strichartz.lhs == reference(u0, 1.0, DispersionForm.ORIGINAL, 6.0, 4.0)
+        l4 = l4_probe(grid, samples=1, seed=seed, frames=9)
+        assert l4.lhs == reference(u0, l4_weight, DispersionForm.SYMMETRIZED, 4.0, 4.0)
+        maximal = maximal_derivative_probe(grid, samples=1, seed=seed, frames=9)
+        assert maximal.lhs == reference(u0, maximal_weight, DispersionForm.ORIGINAL,
+                                        2.5, np.inf)
+        assert maximal.params["single_mode_baseline"] == reference(
+            from_coefficients(grid, mode), maximal_weight, DispersionForm.ORIGINAL, 2.5, np.inf)
+
+
+def test_strichartz_peak_memory_stays_on_the_column_block():
+    """The doubled-grid free waves are built on the data's 22 of 65 half-spectrum
+    columns and taken to L^r in place, not as full complex trajectories."""
+    grid = make_grid(64, 64, 2 * np.pi, 2 * np.pi)
+    tracemalloc.start()
+    try:
+        strichartz_probe(6.0, 4.0, grid, samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20

@@ -4,6 +4,8 @@ Every oracle here is evaluated independently of the library: closed-form
 integrals, hand convolutions, or brute-force sums over the integer lattice.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -92,6 +94,22 @@ class TestGrid:
         assert g.band_radius == pytest.approx(min(edges), rel=1e-15)
         inside = g.abs_zeta <= g.band_radius
         assert np.all(g.dealias_mask[inside])
+
+    def test_every_cached_array_is_read_only(self):
+        """Every operator on a grid reads its cached arrays, so one caller's in-place
+        edit (g.xi_odd[1] = 0 moved the x-derivative of sin x by 0.5) must fail."""
+        g = grid(16, 32, 2 * np.pi, 3.0)
+        cached = [getattr(g, name) for name, member in vars(Grid2D).items()
+                  if isinstance(member, cached_property)]
+        arrays = [value for value in cached if isinstance(value, np.ndarray)]
+        assert len(arrays) == 13
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = arr[(1,) * arr.ndim]
+        u = make_field(g, np.sin(g.x)[:, None] + 0.0 * g.y[None, :])
+        np.testing.assert_allclose(derivative(u, 1, 0).values, np.cos(g.x)[:, None]
+                                   + 0.0 * g.y[None, :], atol=1e-13)
 
 
 class TestFieldConversions:

@@ -14,6 +14,7 @@ from zklab import (
     make_grid,
     modulation_project,
 )
+from zklab.trajectory import hann_window
 
 G = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
 
@@ -56,8 +57,7 @@ class TestContainer:
 
 class TestWindow:
     def test_periodic_hann(self):
-        stf = SpaceTimeField(G, 0.0, 0.1, np.zeros((8, 16, 16), dtype=complex))
-        w = stf.window
+        w = hann_window(8)
         assert w[0] == 0.0
         assert w[4] == 1.0  # midpoint of the periodic window
         np.testing.assert_allclose(w[1:], w[1:][::-1], atol=1e-15)
