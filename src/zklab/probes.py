@@ -69,6 +69,8 @@ def _drift(a: float, b: float) -> float:
 def _ensemble_report(estimate: str, one, base: tuple, other: tuple, samples: int,
                      seed: int, params: dict, caveat: str = TORUS_CAVEAT) -> ProbeReport:
     """Median of ``one(*base, i)`` over the samples, drifted against ``one(*other, i)``."""
+    if samples < 1:
+        raise UsageError(f"{estimate}: samples must be at least 1, got {samples}")
     ratios, others = ([one(*rung, i) for i in range(samples)] for rung in (base, other))
     med, companion = float(np.median(ratios)), float(np.median(others))
     for rung, value in ((base, med), (other, companion)):
@@ -81,8 +83,9 @@ def _ensemble_report(estimate: str, one, base: tuple, other: tuple, samples: int
 
 def _frame_times(span: float, frames: int) -> np.ndarray:
     """``frames`` uniform times from 0 to span; the step is times[1]."""
-    if frames < 2:
-        raise UsageError(f"frames must be at least 2 (the window endpoints), got {frames}")
+    if frames < 2 or not 0 < span < np.inf:
+        raise UsageError("need frames >= 2 (the window endpoints) and a finite span > 0, "
+                         f"got frames = {frames}, span = {span}")
     return span / (frames - 1) * np.arange(frames)
 
 
@@ -151,6 +154,8 @@ def maximal_derivative_probe(grid: Grid2D, samples: int = 32, seed: int = 0,
     For free solutions the Bourgain-norm right side reduces to ||u0||_2
     times a window factor; the single-mode baseline records that factor.
     """
+    if not 0 < epsilon <= 0.25:
+        raise UsageError(f"epsilon must satisfy 0 < epsilon <= 1/4, got {epsilon}")
     power = 0.25 - epsilon
 
     def weight(g: Grid2D) -> np.ndarray:
@@ -395,10 +400,11 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
 
     The headline drift doubles the grid resolution at fixed shells, checking
     that the reported ratio is not a dealias-band artifact.  The window
-    doubling T -> 2T is recorded in params as t_doubling_drift; it grows like
-    the cube of the secular proxy growth, so it tracks the proxy surrogate
-    rather than the estimate itself.  Octave ladders are left to the caller
-    (run the probe per rung and compare ratios).
+    doubling T -> 2T, recorded in params as t_doubling_drift, steps the base
+    grid on into 4T at the 2T step size (``num_steps`` counts the 2T steps);
+    it grows like the cube of the secular proxy growth, so it tracks the
+    proxy surrogate rather than the estimate itself.  Octave ladders are
+    left to the caller (run the probe per rung and compare ratios).
     """
     def similar(a, b):
         return max(a, b) <= 2.0 * min(a, b)
@@ -412,27 +418,20 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
                          "or N1 ~ N2 >= N3 (balanced); got "
                          f"({n1}, {n2}, {n3})")
     form = DispersionForm.SYMMETRIZED
-    floor, longer = np.inf, []
+    floors, longer = [], []
+    steps = num_steps or _trilinear_steps(n1, n2, n3, 2.0 * t_length)
+    stride, dt = max(1, steps // 64), 2.0 * t_length / steps
 
-    def one(g: Grid2D, tval: float, i: int) -> float:
-        nonlocal floor
+    def one(g: Grid2D, i: int) -> float:
         projector = LPProjector(g)
         weights = {n: projector.weight(n) for n in {n1, n2, n3}}
-        kernel = spectral_kernel(g, form)
         # the three factors' band-block weights, transformed in one to_physical
         band = np.s_[:, :g.band_columns]
         factors = np.stack([weights[n1][band], weights[n2][band],
-                            -weights[n3][band] * kernel.band_neg_dmask])
-        u0 = Field(g,
-                   amplitude * (shell_field(g, n1, seed + 3 * i).coeffs
-                                + shell_field(g, n2, seed + 3 * i + 1).coeffs
-                                + shell_field(g, n3, seed + 3 * i + 2).coeffs),
-                   "spectral")
-        steps = num_steps or _trilinear_steps(n1, n2, n3, 2.0 * tval)
-        stride, dt = max(1, steps // 64), 2.0 * tval / steps
-        # 4T often takes twice 2T's auto steps, at the same dt: the base rung then runs on into 4T
-        windows = 2 if (g is grid and tval == t_length and not num_steps
-                        and _trilinear_steps(n1, n2, n3, 4.0 * tval) == 2 * steps) else 1
+                            -weights[n3][band] * spectral_kernel(g, form).band_neg_dmask])
+        u0 = Field(g, amplitude * np.sum([shell_field(g, n, seed + 3 * i + d).coeffs
+                                          for d, n in enumerate((n1, n2, n3))], axis=0), "spectral")
+        windows = 2 if g is grid else 1  # the base grid runs on into the 4T window
         state = SolverState(u0, 0.0, dt, form)
         tableau = etdrk4_tableau(g, dt, form)
         integrand = np.empty(windows * steps + 1)
@@ -448,26 +447,26 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         for _ in range(windows * steps):
             state = step_etdrk4(state, tableau)
             record(state)
-        for w in range(1, windows + 1):  # the window 2 w tval, with frames every w * stride
+        for w in range(1, windows + 1):  # the window 2 w T, with frames every w * stride
             times = dt * np.arange(w * steps + 1)
-            form_val = abs(definite_integral(chi(times / (w * tval)) * integrand[:len(times)], dt))
+            form_val = abs(definite_integral(chi(times / (w * t_length))
+                                             * integrand[:len(times)], dt))
             coarse = np.stack(kept[:w * steps // stride + 1:w])
             proxies = [twisted_variation(SpaceTimeField(g, 0.0, w * stride * dt,
                                                         coarse * weights[n][None]), 2.0, form)
                        for n in (n1, n2, n3)]
-            floor = min(floor, *proxies)
-            rhs = (w * tval) ** power_t * scale * proxies[0] * proxies[1] * proxies[2]
+            floors.extend(proxies)
+            rhs = (w * t_length) ** power_t * scale * proxies[0] * proxies[1] * proxies[2]
             ratios.append(form_val / rhs if rhs > 0 else np.inf)
         longer.extend(ratios[1:])
         return ratios[0]
 
     report = _ensemble_report(
-        "trilinear-form", one, (grid, t_length), (_doubled(grid), t_length), samples,
+        "trilinear-form", one, (grid,), (_doubled(grid),), samples,
         seed, {"n1": n1, "n2": n2, "n3": n3, "T": t_length, "regime": regime,
                "nx": grid.nx, "num_steps": num_steps, "samples": samples,
                "amplitude": amplitude},
         caveat=TORUS_CAVEAT + "; V2-proxy norms in place of U2/V2")
-    longer = longer or [one(grid, 2.0 * t_length, i) for i in range(samples)]
     return replace(report, params={
-        **report.params, "proxy_floor": floor,
+        **report.params, "proxy_floor": min(floors),
         "t_doubling_drift": _drift(report.ratio, float(np.median(longer)))})

@@ -62,6 +62,21 @@ class TestValidation:
         with pytest.raises(Exception):
             bilinear_probe(4.0, 64.0, G, samples=2)
 
+    @pytest.mark.parametrize("span", [0.0, -1.0, np.nan, np.inf])
+    def test_span_must_be_finite_and_positive(self, span):
+        with pytest.raises(UsageError, match="span"):
+            l4_probe(G16, samples=1, frames=9, span=span)
+
+    def test_samples_must_be_positive(self):
+        with pytest.raises(UsageError, match="samples"):
+            strichartz_probe(6.0, 4.0, G16, samples=0, frames=9)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, -1.0, np.nan])
+    def test_maximal_epsilon_in_range(self, epsilon):
+        # 0.3 makes |xi|^(-0.05) infinite on the xi = 0 row; -1 would probe |D_x|^{5/4}
+        with pytest.raises(UsageError, match="epsilon"):
+            maximal_derivative_probe(G16, samples=1, frames=9, epsilon=epsilon)
+
 
 class TestReportShape:
     def test_strichartz_small_run(self):
@@ -186,7 +201,7 @@ GOLDEN = {
         {"lhs": 2303.202041952955, "ratio_min": 2303.202041952955,
          "ratio_max": 2303.202041952955, "drift": 2.4703848855914945,
          "param_proxy_floor": 9.414054607095407e-05,
-         "param_t_doubling_drift": 2.994952626252616, "param_num_steps": 64}),
+         "param_t_doubling_drift": 10.713396037664833, "param_num_steps": 64}),
 }
 
 
@@ -276,6 +291,59 @@ def test_trilinear_window_doubling_runs_on_from_the_base_rung(monkeypatch):
                 "param_t_doubling_drift": 10.42783093427986}
     for key, value in recorded.items():
         assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+class TestTrilinearOnePath:
+    """Each sample is stepped once per grid: the base grid runs on from the 2T window
+    into 4T at the 2T step size, whatever ``num_steps`` is and however the auto
+    step counts round; the doubled grid steps 2T only."""
+
+    @pytest.mark.parametrize("args, kwargs, steps", [
+        ((8.0, 2.0, 8.0, 0.125, G), {"samples": 2, "num_steps": 64}, 64),
+        ((4.0, 1.0, 4.0, 0.0625, G16), {"samples": 2}, 64),  # 2T and 4T both auto to 64
+        ((8.0, 2.0, 8.0, 0.125, G), {"samples": 1}, 384),
+    ], ids=["num_steps=64", "auto-64/64", "auto-384/768"])
+    def test_one_trajectory_per_grid_per_sample(self, monkeypatch, args, kwargs, steps):
+        states, tableaux, stepped = Counter(), [], Counter()
+        original_state, original_tableau = probes.SolverState, probes.etdrk4_tableau
+        original_step = probes.step_etdrk4
+
+        def counting_state(u0, t, dt, form):
+            states[u0.grid.nx] += 1
+            return original_state(u0, t, dt, form)
+
+        def counting_tableau(g, dt, form):
+            tableaux.append((g.nx, dt))
+            return original_tableau(g, dt, form)
+
+        def counting_step(state, tableau):
+            stepped[state.grid.nx] += 1
+            return original_step(state, tableau)
+
+        monkeypatch.setattr(probes, "SolverState", counting_state)
+        monkeypatch.setattr(probes, "etdrk4_tableau", counting_tableau)
+        monkeypatch.setattr(probes, "step_etdrk4", counting_step)
+        trilinear_form_probe(*args, seed=0, **kwargs)
+        samples, nx, t_length = kwargs["samples"], args[-1].nx, args[3]
+        assert states == {nx: samples, 2 * nx: samples}
+        assert stepped == {nx: 2 * steps * samples, 2 * nx: steps * samples}
+        assert {dt for _, dt in tableaux} == {2.0 * t_length / steps}
+
+    @pytest.mark.parametrize("shells, t_length, grid, samples, num_steps", [
+        ((8.0, 2.0, 8.0), 0.125, G, 1, 64),  # the golden row's call
+        ((4.0, 1.0, 4.0), 0.0625, G16, 3, None),  # auto: 2T and 4T both resolve to 64
+    ], ids=["(8,2,8)-N=64", "(4,1,4)-auto"])
+    def test_window_doubling_is_the_public_2t_call(self, shells, t_length, grid, samples,
+                                                   num_steps):
+        report = trilinear_form_probe(*shells, t_length, grid, samples=samples,
+                                      num_steps=num_steps)
+        n = num_steps or probes._trilinear_steps(*shells, 2.0 * t_length)
+        assert n % 64 == 0
+        base = trilinear_form_probe(*shells, t_length, grid, samples=samples, num_steps=n)
+        doubled = trilinear_form_probe(*shells, 2.0 * t_length, grid, samples=samples,
+                                       num_steps=2 * n)
+        assert base.ratio == report.ratio
+        assert report.params["t_doubling_drift"] == probes._drift(base.ratio, doubled.ratio)
 
 
 class TestFrameCount:
