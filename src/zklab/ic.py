@@ -16,13 +16,9 @@ __all__ = ["PRESETS", "make_initial", "gaussian_bump", "cosine_mode",
            "two_pulses", "random_band_limited", "shell_field"]
 
 
-def gaussian_bump(grid: Grid2D, amplitude: float = 1.0, sigma: float = 1.0,
-                  x0: float | None = None, y0: float | None = None) -> Field:
+def gaussian_bump(grid: Grid2D, amplitude: float = 1.0, sigma: float = 1.0) -> Field:
     """Centered Gaussian; effectively compactly supported when sigma << box."""
-    if x0 is None:
-        x0 = 0.5 * grid.lx
-    if y0 is None:
-        y0 = 0.5 * grid.ly
+    x0, y0 = 0.5 * grid.lx, 0.5 * grid.ly
     xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
     vals = amplitude * np.exp(-((xg - x0) ** 2 + (yg - y0) ** 2) / (2.0 * sigma ** 2))
     return make_field(grid, vals)
@@ -88,7 +84,7 @@ def random_band_limited(grid: Grid2D, seed: int, kmax: float | None = None,
     return out
 
 
-def shell_field(grid: Grid2D, n: float, seed: int, amplitude: float = 1.0) -> Field:
+def shell_field(grid: Grid2D, n: float, seed: int) -> Field:
     """Unit-L2 random data supported on the octave annulus centered at n
     (|zeta| in (n/sqrt(2), n*sqrt(2)]), clipped to the dealias band."""
     rng = np.random.default_rng(seed)
@@ -100,7 +96,7 @@ def shell_field(grid: Grid2D, n: float, seed: int, amplitude: float = 1.0) -> Fi
     if total == 0:
         raise DataError(f"shell at |zeta| ~ {n} has no lattice modes inside "
                         "the dealias band on this grid")
-    return Field(grid, field.coeffs * (amplitude / total), "spectral")
+    return Field(grid, field.coeffs * (1.0 / total), "spectral")
 
 
 PRESETS = {

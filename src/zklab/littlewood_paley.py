@@ -8,10 +8,6 @@ Written this way consecutive shells cancel bit-for-bit, so the partition
 
 holds exactly in floating point; once M exceeds the lattice radius the sum
 is exactly 1 on every lattice point.
-
-``axis=None`` localizes in |zeta| (radial); ``axis="x"`` / ``axis="y"``
-localize in |xi| / |eta| alone, which is the variant used by the
-direction-sensitive smoothing probes.
 """
 
 from __future__ import annotations
@@ -34,16 +30,6 @@ def is_dyadic(n: float) -> bool:
     return float(m) == np.round(m)
 
 
-def _radius(grid: Grid2D, axis: str | None) -> np.ndarray:
-    if axis is None:
-        return grid.abs_zeta
-    if axis == "x":
-        return np.abs(grid.xi_grid)
-    if axis == "y":
-        return np.abs(grid.eta_grid)
-    raise UsageError(f"axis must be None, 'x' or 'y', got {axis!r}")
-
-
 def shell_weight(r: np.ndarray, block: float) -> np.ndarray:
     """Multiplier profile of one LP block evaluated at radii ``r``.
 
@@ -56,15 +42,14 @@ def shell_weight(r: np.ndarray, block: float) -> np.ndarray:
     return chi(r / block) - chi(r / (block * 0.5))
 
 
-def lp_project(field: Field, block: float, axis: str | None = None) -> Field:
+def lp_project(field: Field, block: float) -> Field:
     """Project onto the LP block (0 = core, dyadic N >= 1 = shell)."""
-    r = _radius(field.grid, axis)
-    return field.multiplier(shell_weight(r, block))
+    return field.multiplier(shell_weight(field.grid.abs_zeta, block))
 
 
-def dyadic_shells(grid: Grid2D, axis: str | None = None) -> list[float]:
+def dyadic_shells(grid: Grid2D) -> list[float]:
     """Shell indices [1, 2, 4, ...] whose support meets the lattice."""
-    rmax = float(_radius(grid, axis).max())
+    rmax = float(grid.abs_zeta.max())
     shells: list[float] = []
     block = 1.0
     while block * 0.5 < rmax:
@@ -73,28 +58,24 @@ def dyadic_shells(grid: Grid2D, axis: str | None = None) -> list[float]:
     return shells
 
 
-def partition_values(grid: Grid2D, top: float | None = None,
-                     axis: str | None = None) -> np.ndarray:
-    """Pointwise sum of P_0 + sum of shells up to ``top`` over the lattice."""
-    r = _radius(grid, axis)
-    if top is None:
-        top = 2.0 ** np.ceil(np.log2(max(r.max(), 1.0)))
-    total = shell_weight(r, 0)
-    block = 1.0
-    while block <= top:
-        total = total + shell_weight(r, block)
-        block *= 2.0
+def partition_values(grid: Grid2D, top: float | None = None) -> np.ndarray:
+    """Pointwise sum of P_0 + sum of shells up to ``top`` (default: all) over
+    the lattice.  Shells past ``dyadic_shells`` weigh exactly 0 there."""
+    projector = LPProjector(grid)
+    total = projector.weight(0)
+    for block in projector.shells:
+        if top is None or block <= top:
+            total = total + projector.weight(block)
     return total
 
 
 class LPProjector:
     """Reusable family of LP multipliers for one grid (weights precomputed)."""
 
-    def __init__(self, grid: Grid2D, axis: str | None = None):
+    def __init__(self, grid: Grid2D):
         self.grid = grid
-        self.axis = axis
-        self.shells = dyadic_shells(grid, axis)
-        r = _radius(grid, axis)
+        self.shells = dyadic_shells(grid)
+        r = grid.abs_zeta
         self._weights = {0.0: shell_weight(r, 0)}
         for block in self.shells:
             self._weights[block] = shell_weight(r, block)

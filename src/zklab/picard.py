@@ -74,13 +74,10 @@ class PicardResult:
 
 
 def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
-                   form: DispersionForm, num_nodes: int = 65,
-                   nonlinear: bool = True) -> PicardResult:
+                   form: DispersionForm, num_nodes: int = 65) -> PicardResult:
     """Iterate u(0) = free solution, u(n+1) = T u(n) on the window [0, 2T].
 
-    The window covers the full support of chi(t/T).  ``nonlinear=False``
-    drops the Duhamel term, for which the map returns the cutoff free
-    solution after one application.
+    The window covers the full support of chi(t/T).
     """
     from .norms import y_half_proxy
 
@@ -102,11 +99,8 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
     free = phase * np.where(grid.dealias_mask[band], u0.spectral().coeffs[band], 0.0)
 
     def apply_map(coeffs):
-        out = cut * free
-        if nonlinear:
-            twisted = np.conj(phase) * (cut * kernel.band_nonlinear(coeffs))
-            out = out + phase * cumulative_integral(twisted, dt)
-        return out
+        twisted = np.conj(phase) * (cut * kernel.band_nonlinear(coeffs))
+        return cut * free + phase * cumulative_integral(twisted, dt)
 
     iterates = [free]
     for _ in range(n_iter):

@@ -139,7 +139,7 @@ def _free_wave_report(estimate: str, form: DispersionForm, weight, q: float, r: 
 def strichartz_probe(q: float, r: float, grid: Grid2D, samples: int = 32,
                      seed: int = 0, span: float = 1.0, frames: int = 33) -> ProbeReport:
     """||free solution||_{L^q_t L^r_xy} against ||u0||_2 on the admissible line."""
-    if q <= 3.0 or abs(3.0 / q + 2.0 / r - 1.0) > 1e-12:
+    if not (q > 3.0 and r > 0.0 and abs(3.0 / q + 2.0 / r - 1.0) <= 1e-12):
         raise UsageError(f"inadmissible pair (q, r) = ({q}, {r}); "
                          "the estimate requires 3/q + 2/r = 1 with q > 3")
     return _free_wave_report("strichartz", DispersionForm.ORIGINAL, lambda g: 1.0,
@@ -331,19 +331,18 @@ def cutoff_decompose(t_length: float, l_scale: float,
                                high=indicator - low)
 
 
-def cutoff_probe(t_values, l_values, span: float | None = None,
-                 num_nodes: int = 4096) -> tuple[list, ProbeReport]:
+def cutoff_probe(t_values, l_values, num_nodes: int = 4096) -> tuple[list, ProbeReport]:
     """Grid of decompositions plus the drift of the normalized high-part norm.
 
-    Drift is the worst quotient of normalized norms over parameter doublings
-    present within each row or column of the (T, L) grid.
+    The window is [0, 4 max T].  Drift is the worst quotient of normalized
+    norms over parameter doublings present within each row or column of the
+    (T, L) grid.
     """
     t_values = sorted(float(v) for v in t_values)
     l_values = sorted(float(v) for v in l_values)
     if not t_values or not l_values:
         raise UsageError("the T and L grids must not be empty")
-    if span is None:
-        span = 4.0 * max(t_values)
+    span = 4.0 * max(t_values)
     times = np.linspace(0.0, span, num_nodes)
     rows = []
     norm = {}
@@ -420,7 +419,10 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
     form = DispersionForm.SYMMETRIZED
     floors, longer = [], []
     steps = num_steps or _trilinear_steps(n1, n2, n3, 2.0 * t_length)
-    stride, dt = max(1, steps // 64), 2.0 * t_length / steps
+    # the proxies keep a frame every stride steps: at least 64 a window (or every
+    # step), and stride divides steps, so the frames reach the window's end
+    stride = max(d for d in range(1, max(1, steps // 64) + 1) if steps % d == 0)
+    dt = 2.0 * t_length / steps
 
     def one(g: Grid2D, i: int) -> float:
         projector = LPProjector(g)

@@ -9,7 +9,7 @@ b^2 = 3 a^2 and 4 a^3 = 1, which carries the original dispersion
 xi^3 + xi eta^2 into xi'^3 + eta'^3 exactly; the amplitude factor a makes
 the transformed nonlinearity coefficient exactly 1.  On the torus the image
 lattice is sheared, so the mapped field is realized by evaluating the
-trigonometric interpolant at the mapped nodes of the target grid; the
+trigonometric interpolant at the mapped nodes of the field's own grid; the
 residual of conjugacy checks is pure discretization (aliasing plus
 periodization) error.
 """
@@ -17,6 +17,7 @@ periodization) error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,9 +38,10 @@ def rescale(field: Field, lam: float) -> Field:
 
 @dataclass(frozen=True)
 class RotationMap:
-    """Constants of the frame change, fixed by dispersion-symbol matching."""
+    """Constants of the frame change, fixed by dispersion-symbol matching
+    (4 a^3 = 1, b^2 = 3 a^2)."""
 
-    a: float = 0.25 ** (1.0 / 3.0)
+    a: ClassVar[float] = 0.25 ** (1.0 / 3.0)
 
     @property
     def b(self) -> float:
@@ -68,9 +70,9 @@ class RotationMap:
         return self.a * x + self.b * y, self.a * x - self.b * y
 
 
-def _resample(field: Field, target: Grid2D, point_map, amplitude: float) -> Field:
-    """amplitude * u(point_map applied around the box centers), via exact
-    series evaluation.
+def _resample(field: Field, point_map, amplitude: float) -> Field:
+    """amplitude * u(point_map applied around the box centers) on the
+    field's own grid, via exact series evaluation.
 
     The linear map is applied to offsets from the box centers rather than to
     absolute coordinates: the shortest vector of the mapped period lattice
@@ -81,33 +83,30 @@ def _resample(field: Field, target: Grid2D, point_map, amplitude: float) -> Fiel
     """
     g = field.grid
     coeffs = field.coeffs
-    xs = target.x[:, None] + 0.0 * target.y[None, :]
-    ys = 0.0 * target.x[:, None] + target.y[None, :]
-    dx, dy = point_map(xs.ravel() - 0.5 * target.lx, ys.ravel() - 0.5 * target.ly)
+    xs = g.x[:, None] + 0.0 * g.y[None, :]
+    ys = 0.0 * g.x[:, None] + g.y[None, :]
+    dx, dy = point_map(xs.ravel() - 0.5 * g.lx, ys.ravel() - 0.5 * g.ly)
     px, py = dx + 0.5 * g.lx, dy + 0.5 * g.ly
     # u(p, q) = sum_j e^{i xi_j p} * [sum_k coeffs[j, k] e^{i eta_k q}]
     inner = coeffs @ np.exp(1j * np.outer(g.eta, py))       # (nx, npts)
     outer = np.exp(1j * np.outer(g.xi, px))                 # (nx, npts)
     vals = np.sum(outer * inner, axis=0).real * amplitude
-    return Field(target, vals.reshape(target.nx, target.ny), "physical")
+    return Field(g, vals.reshape(g.nx, g.ny), "physical")
 
 
-def rotate_to_symmetrized(field: Field, target: Grid2D | None = None,
-                          rotation: RotationMap = RotationMap()) -> Field:
+_ROTATION = RotationMap()
+
+
+def rotate_to_symmetrized(field: Field) -> Field:
     """Re-express an original-frame field in the symmetrized frame.
 
-    w(x', y') = a * u(M(x', y')).  The caller chooses the target box; by
-    default the source geometry is reused.  Meaningful for bump-like data
-    that decay inside the box (the torus has no exact rotated lattice).
+    w(x', y') = a * u(M(x', y')) on the field's own box.  Meaningful for
+    bump-like data that decay inside the box (the torus has no exact rotated
+    lattice).
     """
-    target = target or field.grid
-    return _resample(field, target, rotation.point_map_to_original,
-                     rotation.amplitude)
+    return _resample(field, _ROTATION.point_map_to_original, _ROTATION.amplitude)
 
 
-def rotate_from_symmetrized(field: Field, target: Grid2D | None = None,
-                            rotation: RotationMap = RotationMap()) -> Field:
+def rotate_from_symmetrized(field: Field) -> Field:
     """Inverse frame change: u(x, y) = (1/a) * w(M^{-1}(x, y))."""
-    target = target or field.grid
-    return _resample(field, target, rotation.point_map_to_symmetrized,
-                     1.0 / rotation.amplitude)
+    return _resample(field, _ROTATION.point_map_to_symmetrized, 1.0 / _ROTATION.amplitude)

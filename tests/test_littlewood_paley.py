@@ -43,14 +43,13 @@ def test_partition_truncated_equals_chi():
 @settings(max_examples=60, deadline=None)
 @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
        lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
-       axis=st.sampled_from([None, "x", "y"]), top=st.integers(0, 7).map(lambda k: 2.0 ** k))
-def test_partition_is_exact_on_random_grids(nx, ny, lx, ly, axis, top):
+       top=st.integers(0, 7).map(lambda k: 2.0 ** k))
+def test_partition_is_exact_on_random_grids(nx, ny, lx, ly, top):
     """The full partition is exactly 1 and the truncated one exactly
-    chi(r / M), with r = |zeta|, |xi| or |eta| as the axis selects."""
+    chi(|zeta| / M)."""
     g = make_grid(nx, ny, lx, ly)
-    r = {None: g.abs_zeta, "x": np.abs(g.xi_grid), "y": np.abs(g.eta_grid)}[axis]
-    np.testing.assert_array_equal(partition_values(g, axis=axis), 1.0)
-    np.testing.assert_array_equal(partition_values(g, top=top, axis=axis), chi(r / top))
+    np.testing.assert_array_equal(partition_values(g), 1.0)
+    np.testing.assert_array_equal(partition_values(g, top=top), chi(g.abs_zeta / top))
 
 
 def lattice_radius(g):
@@ -90,18 +89,6 @@ def test_single_mode_lands_in_its_shell():
     assert np.array_equal(lp_project(u, 4.0).coeffs, u.coeffs)
     assert np.max(np.abs(lp_project(u, 1.0).coeffs)) == 0.0
     assert np.max(np.abs(lp_project(u, 16.0).coeffs)) == 0.0
-
-
-def test_axis_variant():
-    g = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
-    u = single_mode(g, 4, 8)
-    # |xi| = 4 regardless of eta, so the x-axis shell at 4 captures everything
-    px = lp_project(u, 4.0, axis="x")
-    assert np.array_equal(px.coeffs, u.coeffs)
-    py = lp_project(u, 4.0, axis="y")
-    assert np.max(np.abs(py.coeffs)) == 0.0
-    with pytest.raises(UsageError):
-        lp_project(u, 4.0, axis="z")
 
 
 def test_projector_grid_mismatch():

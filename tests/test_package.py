@@ -1,6 +1,7 @@
 """The public surface: what ``zklab`` re-exports agrees with each module's ``__all__``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -43,9 +44,30 @@ def test_every_all_entry_exists():
     *(pytest.param(zklab.dynamics.spectral_kernel(zklab.make_grid(16, 16, 1.0, 1.0),
                                                   zklab.DispersionForm.ORIGINAL),
                    name, id=f"SpectralKernel-{name}") for name in ("mask", "band_mask")),
+    pytest.param(zklab.LPProjector(zklab.make_grid(16, 16, 1.0, 1.0)), "axis",
+                 id="LPProjector-axis"),
 ])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    pytest.param(owner, name, id=f"{owner.__name__}-{name}") for owner, name in [
+        (zklab.lp_project, "axis"), (zklab.dyadic_shells, "axis"),
+        (zklab.partition_values, "axis"), (zklab.LPProjector, "axis"),
+        (zklab.picard_iterate, "nonlinear"),
+        (zklab.rotate_to_symmetrized, "target"), (zklab.rotate_from_symmetrized, "target"),
+        (zklab.rotate_to_symmetrized, "rotation"), (zklab.rotate_from_symmetrized, "rotation"),
+        (zklab.RotationMap, "a"),
+        (zklab.gaussian_bump, "x0"), (zklab.gaussian_bump, "y0"),
+        (zklab.shell_field, "amplitude"), (zklab.cutoff_probe, "span"),
+    ]])
+def test_removed_parameters_stay_gone(owner, name):
+    """Switches that nothing set are gone; each took the value it is now fixed at."""
+    if dataclasses.is_dataclass(owner):
+        assert name not in {field.name for field in dataclasses.fields(owner)}
+    else:
+        assert name not in inspect.signature(owner).parameters
 
 
 def test_kernel_has_no_full_spectrum_nonlinear_multiplier():

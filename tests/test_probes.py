@@ -40,9 +40,11 @@ G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
 
 class TestValidation:
     def test_strichartz_inadmissible_pair(self):
-        # the scaling relation picks out 3/q + 2/r = 1; (4, 4) violates it
-        with pytest.raises(UsageError):
-            strichartz_probe(4.0, 4.0, G, samples=2)
+        # the scaling relation picks out 3/q + 2/r = 1; (4, 4) violates it, NaN satisfies
+        # nothing, and r = 0 must not reach the division
+        for q, r in [(4.0, 4.0), (np.nan, np.nan), (np.nan, 4.0), (6.0, np.nan), (6.0, 0.0)]:
+            with pytest.raises(UsageError, match="inadmissible"):
+                strichartz_probe(q, r, G, samples=2)
 
     def test_bilinear_needs_separation(self):
         with pytest.raises(UsageError):
@@ -344,6 +346,24 @@ class TestTrilinearOnePath:
                                        num_steps=2 * n)
         assert base.ratio == report.ratio
         assert report.params["t_doubling_drift"] == probes._drift(base.ratio, doubled.ratio)
+
+    def test_proxies_span_their_windows(self, monkeypatch):
+        """129 = 3 * 43 steps: 129 // 64 = 2 does not divide it, so the stride falls to 1
+        and the proxies end on each window's end, 2T on both grids and 4T on the base."""
+        spans, original = [], probes.SpaceTimeField
+
+        def recording(grid, t0, dt, coeffs):
+            stf = original(grid, t0, dt, coeffs)
+            spans.append((grid.nx, stf.span))
+            return stf
+
+        monkeypatch.setattr(probes, "SpaceTimeField", recording)
+        t_length = 0.0625
+        trilinear_form_probe(4.0, 1.0, 4.0, t_length, G16, samples=1, num_steps=129)
+        windows = [(16, 2.0), (16, 4.0), (32, 2.0)]
+        assert [nx for nx, _ in spans] == [nx for nx, _ in windows for _ in range(3)]
+        assert [span for _, span in spans] == pytest.approx(
+            [w * t_length for _, w in windows for _ in range(3)], rel=1e-12, abs=0.0)
 
 
 class TestFrameCount:
