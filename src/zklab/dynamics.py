@@ -184,9 +184,10 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     """Evolve from u0 and return the sampled trajectory.
 
     ``t_final`` must be a whole number of steps and of sampling strides;
-    the returned SpaceTimeField contains the frame at t = 0 and every
-    ``sample_every``-th step.  ``diagnostics(t, field)`` is called at each
-    sampled frame.  T = 0 returns the initial frame alone.
+    the returned SpaceTimeField contains the frame at t = 0 (u0 projected onto the
+    2/3 band) and every ``sample_every``-th step, stored as their band blocks.
+    ``diagnostics(t, field)`` is called at each sampled frame with the full-spectrum
+    field.  T = 0 returns the initial frame alone.
     """
     from .trajectory import SpaceTimeField
 
@@ -201,18 +202,18 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     if n_steps % sample_every != 0:
         raise UsageError("t_final / dt must be divisible by sample_every")
 
-    frames = np.empty((n_steps // sample_every + 1, grid.nx, grid.ny), dtype=np.complex128)
-    frames[0] = u0.coeffs * grid.dealias_mask
+    state = SolverState(u0, 0.0, dt, form)
+    frames = np.empty((n_steps // sample_every + 1,) + state.band.shape, dtype=np.complex128)
+    frames[0] = state.band
     if diagnostics is not None:
-        diagnostics(0.0, Field(grid, frames[0], "spectral"))
+        diagnostics(0.0, state.field)
     if n_steps:
-        state = SolverState(Field(grid, frames[0], "spectral"), 0.0, dt, form)
         tab = etdrk4_tableau(grid, dt, form)
         for k in range(1, n_steps + 1):
             # hold the previous state a step longer, else glibc trims the heap and faults it back
             prev, state = state, step_etdrk4(state, tab)
             if k % sample_every == 0:
-                frames[k // sample_every] = state.field.coeffs
+                frames[k // sample_every] = state.band
                 if diagnostics is not None:
                     diagnostics(state.t, state.field)
     return SpaceTimeField(grid, 0.0, dt * sample_every, frames)

@@ -235,7 +235,7 @@ def increment_symbols(mult: IMultiplier, grid: Grid2D):
 
 
 def _factored_forms(mult: IMultiplier, grid: Grid2D):
-    """Lambda3 and Lambda4 of field lists, and Im of both for (K, nx, ny) frames.
+    """Lambda3 and Lambda4 of field lists, and Im of both for a trajectory's frame block.
 
     For W the coefficients of I u, V = W / m and the pair products S = (W_p W_p)^,
     P = (V_p V_p)^ of physical samples, discrete Parseval gives Lambda3 = area sum
@@ -249,8 +249,8 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
     dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
     m, dx_lap, m_band = (a[:, :grid.band_columns] for a in (msym, dx_lap, msym * mask))
 
-    def band_block(coeffs, what):
-        if np.any(coeffs[..., ~mask]):
+    def band_block(coeffs, what):  # full coefficients or a leading block of the half spectrum
+        if np.any(coeffs[..., ~mask[:, :coeffs.shape[-1]]]):
             raise DataError(f"{what} requires input with no content outside the "
                             "2/3 dealias band; apply dealias() first")
         return coeffs[..., :grid.band_columns]
@@ -278,8 +278,8 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
         w, v = inputs(fields, "lambda4 (factored)")
         return complex(0.0, lambda4(pair(*w[2:]), pair(*v[:2])))
 
-    def frames(coeffs):
-        w = band_block(coeffs, "increment_identity_check") * m
+    def frames(block):
+        w = band_block(block, "increment_identity_check") * m
         v = w / m
         s, p = pair(w, w), pair(v, v)
         return lambda3(w, s, p), lambda4(s, p)
@@ -312,20 +312,21 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
 
     The integrand is sampled at every frame and integrated by composite
     Simpson; the residual is relative to max(|lhs|, integral scale, 1e-14).
-    Frames are band-checked and evaluated _BLOCK_FRAMES at a time, from one
-    pair of products each (four transforms per frame).
+    Frames are read from the trajectory's block, band-checked and evaluated
+    _BLOCK_FRAMES at a time, from one pair of products each (four transforms
+    per frame); only the two end frames are brought to the full spectrum.
     """
     if trajectory.num_frames < 5:
         raise UsageError("increment check needs at least 5 frames")
-    grid, coeffs, dt = trajectory.grid, trajectory.coeffs, trajectory.dt
+    grid, block, dt = trajectory.grid, trajectory.block, trajectory.dt
     frame_forms, msym = _factored_forms(mult, grid)[2], mult.symbol(grid)
-    im3, im4 = np.concatenate([frame_forms(coeffs[k:k + _BLOCK_FRAMES]) for k in
+    im3, im4 = np.concatenate([frame_forms(block[k:k + _BLOCK_FRAMES]) for k in
                                range(0, trajectory.num_frames, _BLOCK_FRAMES)], axis=-1)
     integrand = im3 - im4
     rhs, scale, lambda3_integral, lambda4_integral = map(float, definite_integral(
         np.stack([integrand, np.abs(integrand), im3, im4], axis=-1), dt))
-    lhs = (energy(Field(grid, coeffs[-1] * msym, "spectral"))
-           - energy(Field(grid, coeffs[0] * msym, "spectral")))
+    lhs = (energy(Field(grid, trajectory.frame(-1).coeffs * msym, "spectral"))
+           - energy(Field(grid, trajectory.frame(0).coeffs * msym, "spectral")))
     denom = max(abs(lhs), scale, IncrementReport.FLOOR)
     return IncrementReport(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / denom, denominator=denom,

@@ -170,16 +170,24 @@ def pvariation_norm(samples, p: float) -> float:
     return float(cum[-1] ** (1.0 / p))
 
 
+def _column_counts(grid, cols: np.ndarray) -> np.ndarray:
+    """How often half-spectrum columns ``cols`` occur in the full spectrum: column 0 and
+    the Nyquist column once, every other column twice, with its conjugate partner."""
+    return np.where((cols > 0) & (cols < grid.ny // 2), 2.0, 1.0)
+
+
 def twisted_variation(stf: SpaceTimeField, p: float, form: DispersionForm) -> float:
     """V^p norm of t -> exp(-t S) u(t), the U^2-proxy used throughout.
 
     Free solutions give exactly 0.  Coefficient vectors are scaled so that
-    the l2 distance matches the spatial L2 norm.  Phase and DP run only on
-    the modes non-zero in some frame: O(K^2 * support), not O(K^2 * nx * ny).
+    the l2 distance matches the spatial L2 norm; on the trajectory's block a
+    column that stands for two columns of the full spectrum is scaled by sqrt 2.
+    Phase and DP run only on the modes non-zero in some frame: O(K^2 * support).
     """
-    support = _support(stf.coeffs)
-    phases = spectral_kernel(stf.grid, form).phase(-stf.times, support)
-    return pvariation_norm(stf.coeffs[:, support] * phases * np.sqrt(stf.grid.area), p)
+    rows, cols = np.nonzero(_support(stf.block))
+    phases = spectral_kernel(stf.grid, form).phase(-stf.times, (rows, cols))
+    scale = np.sqrt(_column_counts(stf.grid, cols) * stf.grid.area)
+    return pvariation_norm(stf.block[:, rows, cols] * phases * scale, p)
 
 
 def y_half_proxy(stf: SpaceTimeField, form: DispersionForm) -> float:
@@ -189,11 +197,11 @@ def y_half_proxy(stf: SpaceTimeField, form: DispersionForm) -> float:
     This stands in for the atomic U^2-based space; reports that quote it are
     labeled as the V^2 proxy.
     """
-    g = stf.grid
+    g, width = stf.grid, stf.block.shape[-1]
     lp = LPProjector(g)
     total = 0.0
     for block in lp.blocks():
-        projected = SpaceTimeField(g, stf.t0, stf.dt, stf.coeffs * lp.weight(block))
+        projected = SpaceTimeField(g, stf.t0, stf.dt, stf.block * lp.weight(block)[:, :width])
         tv = twisted_variation(projected, 2.0, form)
         total += tv if block == 0.0 else np.sqrt(block) * tv
     return float(total)

@@ -10,8 +10,8 @@ the stepper's SpectralKernel.band_nonlinear on all nodes at once, and the cutoff
 literal smooth factor on both the free term and the Duhamel integrand.  The
 integral is evaluated in twisted variables (g(t') = e^{-t'S} applied to the
 integrand) with the fourth-order cumulative quadrature, so linear propagation
-between nodes is exact.  Iterates live on the band block (``spectral`` docstring)
-and are brought to the full spectrum once each, for the trajectories and norms.
+between nodes is exact.  Iterates live on the band block (``spectral`` docstring),
+and so do their trajectories, differences and norms.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
 
     The window covers the full support of chi(t/T).
     """
-    from .norms import y_half_proxy
+    from .norms import _column_counts, y_half_proxy
 
     if not 0 < t_horizon < np.inf:
         raise UsageError(f"horizon must be positive and finite, got {t_horizon}")
@@ -105,19 +105,14 @@ def picard_iterate(u0: Field, t_horizon: float, n_iter: int,
     iterates = [free]
     for _ in range(n_iter):
         iterates.append(apply_map(iterates[-1]))
-    iterates = [grid.full_spectrum(it) for it in iterates]
 
     stfs = tuple(SpaceTimeField(grid, 0.0, dt, it) for it in iterates)
-    diffs = []
-    for n in range(len(stfs) - 1):
-        diff = SpaceTimeField(grid, 0.0, dt, iterates[n + 1] - iterates[n])
-        diffs.append(y_half_proxy(diff, form))
+    diffs = [y_half_proxy(SpaceTimeField(grid, 0.0, dt, b - a), form)
+             for a, b in zip(iterates, iterates[1:])]
     ratios = tuple(diffs[n + 1] / diffs[n] if diffs[n] > 0 else 0.0
                    for n in range(len(diffs) - 1))
-    norm0 = float(np.sqrt(np.sum(np.abs(iterates[0]) ** 2)))
-    failed = any(r > 1.0 for r in ratios)
-    for it in iterates[1:]:
-        if np.sqrt(np.sum(np.abs(it) ** 2)) > 2.0 * norm0 + 1e-30:
-            failed = True
+    counts = _column_counts(grid, np.arange(grid.band_columns))
+    norms = [np.sqrt(np.sum(counts * np.abs(it) ** 2)) for it in iterates]
+    failed = any(r > 1.0 for r in ratios) or any(n > 2.0 * norms[0] + 1e-30 for n in norms[1:])
     return PicardResult(iterates=stfs, diffs=tuple(diffs), ratios=ratios,
                         contraction_failed=failed, horizon=t_horizon, form=form)

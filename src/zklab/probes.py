@@ -306,15 +306,15 @@ class CutoffDecomposition:
 
 def cutoff_decompose(t_length: float, l_scale: float,
                      time_grid: np.ndarray) -> CutoffDecomposition:
-    if t_length <= 0 or l_scale <= 0:
-        raise UsageError("T and L must be positive")
+    if not (0 < t_length < np.inf and 0 < l_scale < np.inf):
+        raise UsageError("T and L must be positive and finite")
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or len(times) < 16:
         raise UsageError("need a 1-d time grid with at least 16 nodes")
     steps = np.diff(times)
     dt = steps[0]
-    if np.max(np.abs(steps - dt)) > 1e-12 * max(dt, 1.0):
-        raise UsageError("time grid must be uniform")
+    if not np.all(np.isfinite(times)) or np.max(np.abs(steps - dt)) > 1e-12 * max(dt, 1.0):
+        raise UsageError("time grid must be finite and uniform")
     span = times[-1] - times[0]
     if span < 2.0 * t_length:
         raise ResolutionError(f"window {span:g} too short for T = {t_length:g} "
@@ -443,7 +443,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
             a, b, d = g.to_physical(st.band * factors)
             integrand[st.steps] = np.sum(a * b * d) * g.cell_area
             if st.steps % stride == 0:
-                kept.append(st.field.coeffs)
+                kept.append(st.band)
 
         record(state)
         for _ in range(windows * steps):
@@ -455,7 +455,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
                                              * integrand[:len(times)], dt))
             coarse = np.stack(kept[:w * steps // stride + 1:w])
             proxies = [twisted_variation(SpaceTimeField(g, 0.0, w * stride * dt,
-                                                        coarse * weights[n][None]), 2.0, form)
+                                                        coarse * weights[n][band]), 2.0, form)
                        for n in (n1, n2, n3)]
             floors.extend(proxies)
             rhs = (w * t_length) ** power_t * scale * proxies[0] * proxies[1] * proxies[2]

@@ -19,9 +19,9 @@ Conventions fixed here and relied on everywhere else:
   to keep real fields real.  ``Grid2D.nyquist_mask``, ``xi_odd`` and
   ``eta_odd`` apply it; every symbol in the package reads them.
 * Band block: Hermitian coefficients in the 2/3 band (``Grid2D.dealias_mask``) are fixed by their
-  first ``band_columns``, the one layout of the stepper, Picard and the I-method; ``Field`` and
-  public arrays stay full.
-  The ``ny // 2 + 1`` half spectrum lives only in the transform pair and ``full_spectrum``.
+  first ``band_columns``, the one layout of the stepper, Picard, the I-method and stepped
+  trajectories.  ``SpaceTimeField`` stores such a leading block of half-spectrum columns, the
+  half spectrum when given full frames; ``Field.coeffs`` and ``SpaceTimeField.coeffs`` are full.
 """
 
 from __future__ import annotations

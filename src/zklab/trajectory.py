@@ -9,7 +9,7 @@ reconstruct the windowed field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,26 +28,31 @@ def hann_window(k: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(k) / k))
 
 
-@dataclass(frozen=True)
 class SpaceTimeField:
-    """Uniformly sampled trajectory; frames stored as spectral coefficients."""
+    """Uniformly sampled trajectory of spectral frames, stored as ``block``: their leading
+    half-spectrum columns (``spectral`` docstring).  ``coeffs`` may be given, as to
+    ``Grid2D.to_physical``, full (K, nx, ny), trusted to be Hermitian as in ``Field``, or
+    as such a block; the ``coeffs`` attribute is the full spectrum, built on first read."""
 
-    grid: Grid2D
-    t0: float
-    dt: float
-    coeffs: np.ndarray  # (K, nx, ny) complex
-
-    def __post_init__(self):
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (self.grid.nx, self.grid.ny):
-            raise DataError(f"coeffs shape {self.coeffs.shape} does not match grid")
-        if self.coeffs.shape[0] < 1:
+    def __init__(self, grid: Grid2D, t0: float, dt: float, coeffs: np.ndarray):
+        width = coeffs.shape[-1]
+        if coeffs.ndim != 3 or coeffs.shape[1] != grid.nx or not (
+                width == grid.ny or width <= grid.ny // 2 + 1):
+            raise DataError(f"coeffs shape {coeffs.shape} does not match grid")
+        if coeffs.shape[0] < 1:
             raise DataError("a trajectory needs at least one frame")
-        if not (self.dt > 0.0) and self.coeffs.shape[0] > 1:
+        if not (dt > 0.0) and coeffs.shape[0] > 1:
             raise DataError("dt must be positive for multi-frame trajectories")
+        vars(self).update(grid=grid, t0=t0, dt=dt, block=coeffs[:, :, :grid.ny // 2 + 1])
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The (K, nx, ny) full spectrum of every frame."""
+        return self.grid.full_spectrum(self.block)
 
     @property
     def num_frames(self) -> int:
-        return self.coeffs.shape[0]
+        return self.block.shape[0]
 
     @property
     def times(self) -> np.ndarray:
@@ -59,11 +64,11 @@ class SpaceTimeField:
         return self.dt * (self.num_frames - 1)
 
     def frame(self, index: int) -> Field:
-        return Field(self.grid, self.coeffs[index], "spectral")
+        return Field(self.grid, self.grid.full_spectrum(self.block[index]), "spectral")
 
     def values(self) -> np.ndarray:
         """Physical samples of every frame, shape (K, nx, ny), real."""
-        return self.grid.to_physical(self.coeffs)
+        return self.grid.to_physical(self.block)
 
     # -- temporal analysis ----------------------------------------------------
 
@@ -74,7 +79,7 @@ class SpaceTimeField:
 
     def windowed(self) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.t0, self.dt,
-                              self.coeffs * hann_window(self.num_frames)[:, None, None])
+                              self.block * hann_window(self.num_frames)[:, None, None])
 
     def temporal_transform(self) -> np.ndarray:
         """DFT in time of the windowed frames: c[m] = (1/K) sum_l w_l u_l e^{-i 2 pi m l / K}."""

@@ -9,6 +9,7 @@ Closed forms used below (2 pi box, area = 4 pi^2):
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from zklab import (
     modified_energy,
     regularity_threshold,
 )
-from zklab import DispersionForm, Grid2D, SpaceTimeField, dealias, derivative
+from zklab import DiagnosticsRecorder, DispersionForm, Grid2D, SpaceTimeField, dealias, derivative
 from zklab.ic import random_band_limited
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
@@ -274,6 +275,24 @@ class TestIncrementIdentity:
         coeffs[bad] = u.coeffs
         increment_identity_check(traj, IMultiplier(0.9, 4.0))
 
+    @settings(max_examples=20, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_block_and_full_spectrum_report_alike(self, nx, ny, seed):
+        """evolve's band-block trajectory and its frames given in full give one report,
+        bit for bit; content in a row outside the band, inside the block, is rejected."""
+        g = make_grid(nx, ny, 2 * np.pi, 3.0)
+        u0 = random_band_limited(g, seed=seed, amplitude=0.5)
+        traj = evolve(u0, 6e-3, 1e-3, DispersionForm.ORIGINAL)
+        assert traj.block.shape[-1] == g.band_columns
+        mult = IMultiplier(0.9, 4.0)
+        full = SpaceTimeField(g, 0.0, traj.dt, traj.coeffs)
+        assert increment_identity_check(full, mult) == increment_identity_check(traj, mult)
+        block = traj.block.copy()
+        block[3, g.band_index[0] + 1, g.band_columns - 1] = 1e-3
+        with pytest.raises(DataError):
+            increment_identity_check(SpaceTimeField(g, 0.0, traj.dt, block), mult)
+
     def test_symbol_built_at_most_twice(self, monkeypatch):
         """I's symbol is built once for the Lambda forms and once for the
         frames and both end-point energies, which still equal E(I u)."""
@@ -376,6 +395,22 @@ class TestParsevalForms:
         assert lambda4([w] * 4, m4) == pytest.approx(ref[90, 1], rel=1e-12)
         assert report.lambda3_integral == pytest.approx(definite(ref[:, 0].imag, traj.dt),
                                                         rel=1e-12)
+
+
+def test_increment_check_traces_less_than_a_full_frame_stack():
+    """evolve with diagnostics plus the increment check over 501 frames at 64^2 peak
+    below one full (501, 64, 64) complex frame stack (31.3 MiB) of traced memory."""
+    g = make_grid(64, 64, 2 * np.pi, 2 * np.pi)
+    u0 = random_band_limited(g, seed=0, kmax=6.0, norm="sobolev", norm_s=1.0, amplitude=1.0)
+    tracemalloc.start()
+    try:
+        traj = evolve(u0, 0.5, 1e-3, DispersionForm.ORIGINAL, diagnostics=DiagnosticsRecorder())
+        increment_identity_check(traj, IMultiplier(0.9, 4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.num_frames == 501
+    assert peak < 501 * 64 * 64 * np.dtype(np.complex128).itemsize
 
 
 class TestIncrementScan:

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import (
     DispersionForm,
@@ -248,15 +249,41 @@ class TestTwisted:
         assert got == pytest.approx(sobolev_norm(u0, 0.0), rel=1e-12)
 
     @staticmethod
-    def full_lattice(stf, p, form):
-        """The uncompressed reference: phase on every mode, DP over every column."""
+    def full_lattice(stf, p, form, coeffs=None):
+        """The uncompressed reference: phase on every mode of the full (K, nx, ny)
+        ``coeffs`` (default ``stf.coeffs``), DP over every column."""
+        coeffs = stf.coeffs if coeffs is None else coeffs
         phases = spectral_kernel(stf.grid, form).phase(-stf.times)
-        vecs = (stf.coeffs * phases * np.sqrt(stf.grid.area)).reshape(stf.num_frames, -1)
+        vecs = (coeffs * phases * np.sqrt(stf.grid.area)).reshape(stf.num_frames, -1)
         cum = np.zeros(stf.num_frames)
         for j in range(1, stf.num_frames):
             d = np.linalg.norm(vecs[:j] - vecs[j], axis=1)
             cum[j] = np.max(cum[:j] + d ** p)
         return cum[-1] ** (1.0 / p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64]), ny=st.sampled_from([8, 16, 32, 64]),
+           seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(DispersionForm)),
+           band=st.booleans())
+    def test_block_storage_matches_the_full_lattice(self, nx, ny, seed, form, band):
+        """Twisted V^p and the Y^(1/2) proxy of a stored block, the half spectrum with its
+        Nyquist column or the band block, equal the full-lattice values of its frames."""
+        g = make_grid(nx, ny, 2 * np.pi, 3.0)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((6, nx, ny)) + 1j * rng.standard_normal((6, nx, ny))
+        full = 0.5 * (a + np.conj(np.roll(a[:, ::-1, ::-1], 1, axis=(1, 2))))
+        if band:
+            full *= g.dealias_mask
+        width = g.band_columns if band else ny // 2 + 1
+        stf = SpaceTimeField(g, 0.0, 0.05, np.ascontiguousarray(full[..., :width]))
+        assert np.any(stf.block[..., -1]) and stf.block.shape[-1] == width
+        for p in (2.0, 3.0):
+            ref = self.full_lattice(stf, p, form, full)
+            assert twisted_variation(stf, p, form) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        lp = LPProjector(g)
+        ref = sum((1.0 if n == 0.0 else np.sqrt(n))
+                  * self.full_lattice(stf, 2.0, form, full * lp.weight(n)) for n in lp.blocks())
+        assert y_half_proxy(stf, form) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("form", list(DispersionForm))
     def test_shell_projections_match_the_full_lattice(self, form):

@@ -142,6 +142,16 @@ class TestCutoffDecomposition:
             cutoff_decompose(3.0, 8.0, self.TIMES)  # span < 2T
         with pytest.raises(ResolutionError):
             cutoff_decompose(1.0, 1e5, self.TIMES)  # dt too coarse for L
+        for t_length, l_scale in ((np.inf, 4.0), (np.nan, 4.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(UsageError):
+                cutoff_probe((t_length,), (l_scale,), num_nodes=64)
+        for bad in (np.nan, np.inf):
+            times = self.TIMES.copy()
+            times[5] = bad
+            with pytest.raises(UsageError):
+                cutoff_decompose(1.0, 8.0, times)
+        with pytest.raises(UsageError):
+            cutoff_decompose(1.0, 8.0, np.full(64, np.nan))
 
     @pytest.mark.parametrize("t_values, l_values", [((), (4.0,)), ((1.0,), ())])
     def test_empty_grid_is_a_usage_error(self, t_values, l_values):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import (
     DataError,
@@ -17,6 +18,14 @@ from zklab import (
 from zklab.trajectory import hann_window
 
 G = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
+SIZES = st.sampled_from([8, 16, 32, 64])
+
+
+def hermitian_frames(grid, k, seed):
+    """(k, nx, ny) exactly Hermitian coefficients: random data averaged with its mirror."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, grid.nx, grid.ny)) + 1j * rng.standard_normal((k, grid.nx, grid.ny))
+    return 0.5 * (a + np.conj(np.roll(a[:, ::-1, ::-1], 1, axis=(1, 2))))
 
 
 def mode(jx, jy, amp=1.0):
@@ -43,6 +52,39 @@ class TestContainer:
             SpaceTimeField(G, 0.0, 0.1, np.zeros((5, 8, 16), dtype=complex))
         with pytest.raises(DataError):
             SpaceTimeField(G, 0.0, 0.0, np.zeros((5, 16, 16), dtype=complex))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=SIZES, ny=SIZES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_half_spectrum_storage_round_trips(self, nx, ny, seed):
+        """Hermitian frames come back bit for bit from the stored half spectrum, and
+        values() equals to_physical of the full frames."""
+        g = make_grid(nx, ny, 2 * np.pi, 3.0)
+        full = hermitian_frames(g, 3, seed)
+        stf = SpaceTimeField(g, 0.0, 0.1, full)
+        assert stf.block.shape == (3, nx, ny // 2 + 1)
+        np.testing.assert_array_equal(stf.coeffs, full)
+        for i in range(3):
+            np.testing.assert_array_equal(stf.frame(i).coeffs, full[i])
+        np.testing.assert_array_equal(stf.values(), g.to_physical(full))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=SIZES, ny=SIZES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_block_storage_round_trips(self, nx, ny, seed):
+        """A leading block is kept as given; the full frames are zero past it."""
+        g = make_grid(nx, ny, 2 * np.pi, 3.0)
+        full = hermitian_frames(g, 3, seed) * g.dealias_mask
+        block = np.ascontiguousarray(full[..., :g.band_columns])
+        stf = SpaceTimeField(g, 0.0, 0.1, block)
+        assert np.shares_memory(stf.block, block)
+        np.testing.assert_array_equal(stf.coeffs, full)
+        np.testing.assert_array_equal(stf.frame(-1).coeffs, full[-1])
+        np.testing.assert_array_equal(stf.values(), g.to_physical(full))
+
+    def test_block_wider_than_half_spectrum_rejected(self):
+        with pytest.raises(DataError):
+            SpaceTimeField(G, 0.0, 0.1, np.zeros((5, 16, 10), dtype=complex))
+        with pytest.raises(DataError):
+            SpaceTimeField(G, 0.0, 0.1, np.zeros((5, 16, 17), dtype=complex))
 
     def test_from_fields_and_frame(self):
         u = mode(2, 1)
