@@ -29,15 +29,15 @@ def hann_window(k: int) -> np.ndarray:
 
 
 class SpaceTimeField:
-    """Uniformly sampled trajectory of spectral frames, stored as ``block``: their leading
-    half-spectrum columns (``spectral`` docstring).  ``coeffs`` may be given, as to
-    ``Grid2D.to_physical``, full (K, nx, ny), trusted to be Hermitian as in ``Field``, or
-    as such a block; the ``coeffs`` attribute is the full spectrum, built on first read."""
+    """Uniformly sampled trajectory of spectral frames.  It stores ``block``, the frames'
+    leading half-spectrum columns (``spectral`` docstring).  The constructor takes, as
+    ``Grid2D.to_physical`` does, full (K, nx, ny) coefficients, trusted to be Hermitian as
+    in ``Field``, or such a block; the ``coeffs`` attribute is the full spectrum, built on
+    first read."""
 
     def __init__(self, grid: Grid2D, t0: float, dt: float, coeffs: np.ndarray):
-        width = coeffs.shape[-1]
         if coeffs.ndim != 3 or coeffs.shape[1] != grid.nx or not (
-                width == grid.ny or width <= grid.ny // 2 + 1):
+                coeffs.shape[2] == grid.ny or coeffs.shape[2] <= grid.ny // 2 + 1):
             raise DataError(f"coeffs shape {coeffs.shape} does not match grid")
         if coeffs.shape[0] < 1:
             raise DataError("a trajectory needs at least one frame")
