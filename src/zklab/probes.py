@@ -19,11 +19,11 @@ from .dynamics import SolverState, etdrk4_tableau, spectral_kernel, step_etdrk4
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .ic import random_band_limited, shell_field
-from .littlewood_paley import LPProjector
-from .norms import _lebesgue_qr, twisted_variation
+from .littlewood_paley import shell_weight
+from .norms import _lebesgue_qr, _twisted
 from .quadrature import definite_integral, trapezoid_weights
 from .spectral import Field, Grid2D
-from .trajectory import SpaceTimeField, hann_window
+from .trajectory import hann_window
 
 __all__ = ["ProbeReport", "CutoffDecomposition", "strichartz_probe",
            "maximal_derivative_probe", "bilinear_probe", "gh_bilinear_probe",
@@ -304,10 +304,14 @@ class CutoffDecomposition:
             * self.l_scale ** (1.0 / 3.0)
 
 
+def _check_scales(t_values, l_values) -> None:
+    if not (t_values and l_values and all(0 < v < np.inf for v in (*t_values, *l_values))):
+        raise UsageError(f"T and L need positive finite values, got {t_values}, {l_values}")
+
+
 def cutoff_decompose(t_length: float, l_scale: float,
                      time_grid: np.ndarray) -> CutoffDecomposition:
-    if not (0 < t_length < np.inf and 0 < l_scale < np.inf):
-        raise UsageError("T and L must be positive and finite")
+    _check_scales((t_length,), (l_scale,))
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or len(times) < 16:
         raise UsageError("need a 1-d time grid with at least 16 nodes")
@@ -340,8 +344,7 @@ def cutoff_probe(t_values, l_values, num_nodes: int = 4096) -> tuple[list, Probe
     """
     t_values = sorted(float(v) for v in t_values)
     l_values = sorted(float(v) for v in l_values)
-    if not t_values or not l_values:
-        raise UsageError("the T and L grids must not be empty")
+    _check_scales(t_values, l_values)  # before the window: an infinite T fails linspace
     span = 4.0 * max(t_values)
     times = np.linspace(0.0, span, num_nodes)
     rows = []
@@ -425,12 +428,12 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
     dt = 2.0 * t_length / steps
 
     def one(g: Grid2D, i: int) -> float:
-        projector = LPProjector(g)
-        weights = {n: projector.weight(n) for n in {n1, n2, n3}}
-        # the three factors' band-block weights, transformed in one to_physical
         band = np.s_[:, :g.band_columns]
-        factors = np.stack([weights[n1][band], weights[n2][band],
-                            -weights[n3][band] * spectral_kernel(g, form).band_neg_dmask])
+        weights = {n: shell_weight(g.abs_zeta, n)[band] for n in {n1, n2, n3}}
+        # the three factors' band-block weights, transformed in one to_physical
+        factors = np.stack([weights[n1], weights[n2],
+                            -weights[n3] * spectral_kernel(g, form).band_neg_dmask])
+        support = np.nonzero(np.any([weights[n] != 0 for n in weights], axis=0))
         u0 = Field(g, amplitude * np.sum([shell_field(g, n, seed + 3 * i + d).coeffs
                                           for d, n in enumerate((n1, n2, n3))], axis=0), "spectral")
         windows = 2 if g is grid else 1  # the base grid runs on into the 4T window
@@ -443,7 +446,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
             a, b, d = g.to_physical(st.band * factors)
             integrand[st.steps] = np.sum(a * b * d) * g.cell_area
             if st.steps % stride == 0:
-                kept.append(st.band)
+                kept.append(st.band[support])  # the three shells' modes only
 
         record(state)
         for _ in range(windows * steps):
@@ -454,8 +457,8 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
             form_val = abs(definite_integral(chi(times / (w * t_length))
                                              * integrand[:len(times)], dt))
             coarse = np.stack(kept[:w * steps // stride + 1:w])
-            proxies = [twisted_variation(SpaceTimeField(g, 0.0, w * stride * dt,
-                                                        coarse * weights[n][band]), 2.0, form)
+            frame_times = (w * stride * dt) * np.arange(len(coarse))
+            proxies = [_twisted(g, frame_times, coarse * weights[n][support], *support, 2.0, form)
                        for n in (n1, n2, n3)]
             floors.extend(proxies)
             rhs = (w * t_length) ** power_t * scale * proxies[0] * proxies[1] * proxies[2]

@@ -32,8 +32,8 @@ class SpaceTimeField:
     """Uniformly sampled trajectory of spectral frames.  It stores ``block``, the frames'
     leading half-spectrum columns (``spectral`` docstring).  The constructor takes, as
     ``Grid2D.to_physical`` does, full (K, nx, ny) coefficients, trusted to be Hermitian as
-    in ``Field``, or such a block; the ``coeffs`` attribute is the full spectrum, built on
-    first read."""
+    in ``Field``, of which it keeps a copy of the half spectrum, or such a block, which it
+    keeps as given; the ``coeffs`` attribute is the full spectrum, built on first read."""
 
     def __init__(self, grid: Grid2D, t0: float, dt: float, coeffs: np.ndarray):
         if coeffs.ndim != 3 or coeffs.shape[1] != grid.nx or not (
@@ -43,7 +43,9 @@ class SpaceTimeField:
             raise DataError("a trajectory needs at least one frame")
         if not (dt > 0.0) and coeffs.shape[0] > 1:
             raise DataError("dt must be positive for multi-frame trajectories")
-        vars(self).update(grid=grid, t0=t0, dt=dt, block=coeffs[:, :, :grid.ny // 2 + 1])
+        block = coeffs[:, :, :grid.ny // 2 + 1]
+        vars(self).update(grid=grid, t0=t0, dt=dt,
+                          block=block if block.shape == coeffs.shape else block.copy())
 
     @cached_property
     def coeffs(self) -> np.ndarray:

@@ -28,6 +28,7 @@ from zklab import (
     y_half_proxy,
 )
 from zklab.dynamics import spectral_kernel
+from zklab.norms import _twisted
 
 G = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
 
@@ -307,6 +308,40 @@ class TestTwisted:
     def test_zero_trajectory_is_exactly_zero(self):
         stf = SpaceTimeField(G, 0.0, 0.1, np.zeros((5, G.nx, G.ny), dtype=complex))
         assert twisted_variation(stf, 2.0, DispersionForm.SYMMETRIZED) == 0.0
+
+
+class TestGatheredKernel:
+    """The proxies gather a trajectory on its support once; the kernel on any row-major
+    superset of the support gives the block's values bit for bit."""
+
+    @staticmethod
+    def per_block_proxy(stf, form):
+        """y_half_proxy as one weighted trajectory per LP block."""
+        lp, width, total = LPProjector(stf.grid), stf.block.shape[-1], 0.0
+        for block in lp.blocks():
+            weighted = SpaceTimeField(stf.grid, stf.t0, stf.dt,
+                                      stf.block * lp.weight(block)[:, :width])
+            tv = twisted_variation(weighted, 2.0, form)
+            total += tv if block == 0.0 else np.sqrt(block) * tv
+        return float(total)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32]), ny=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(DispersionForm)),
+           density=st.sampled_from([0.05, 0.2, 0.6]))
+    def test_gathered_values_match_the_block(self, nx, ny, seed, form, density):
+        g = make_grid(nx, ny, 2 * np.pi, 3.0)
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(2, 9)), nx, g.band_columns)
+        modes = (rng.random(shape[1:]) < density) & g.dealias_mask[:, :g.band_columns]
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block = np.where(modes & (rng.random(shape) < 0.8), values, 0.0)
+        stf = SpaceTimeField(g, float(rng.random()), 0.05, block)
+        rows, cols = np.nonzero(np.any(block != 0, axis=0) | (rng.random(shape[1:]) < 0.3))
+        for p in (2.0, 3.0):
+            got = _twisted(g, stf.times, block[:, rows, cols], rows, cols, p, form)
+            assert got == twisted_variation(stf, p, form)
+        assert y_half_proxy(stf, form) == self.per_block_proxy(stf, form)
 
 
 class TestYHalfProxy:

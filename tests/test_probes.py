@@ -3,6 +3,7 @@ deterministic cutoff decomposition.  Drift magnitudes on the frozen parameter
 sets are exercised by the acceptance suite."""
 
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -152,6 +153,15 @@ class TestCutoffDecomposition:
                 cutoff_decompose(1.0, 8.0, times)
         with pytest.raises(UsageError):
             cutoff_decompose(1.0, 8.0, np.full(64, np.nan))
+
+    @pytest.mark.parametrize("t_length, l_scale", [
+        (np.inf, 4.0), (np.nan, 4.0), (0.0, 4.0), (-1.0, 4.0), (1.0, np.inf), (1.0, 0.0)])
+    def test_bad_scale_is_rejected_before_the_window(self, t_length, l_scale):
+        """An infinite T used to reach np.linspace and warn before the UsageError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError):
+                cutoff_probe((t_length,), (l_scale,), num_nodes=64)
 
     @pytest.mark.parametrize("t_values, l_values", [((), (4.0,)), ((1.0,), ())])
     def test_empty_grid_is_a_usage_error(self, t_values, l_values):
@@ -360,14 +370,13 @@ class TestTrilinearOnePath:
     def test_proxies_span_their_windows(self, monkeypatch):
         """129 = 3 * 43 steps: 129 // 64 = 2 does not divide it, so the stride falls to 1
         and the proxies end on each window's end, 2T on both grids and 4T on the base."""
-        spans, original = [], probes.SpaceTimeField
+        spans, original = [], probes._twisted
 
-        def recording(grid, t0, dt, coeffs):
-            stf = original(grid, t0, dt, coeffs)
-            spans.append((grid.nx, stf.span))
-            return stf
+        def recording(grid, times, *args):
+            spans.append((grid.nx, times[-1] - times[0]))
+            return original(grid, times, *args)
 
-        monkeypatch.setattr(probes, "SpaceTimeField", recording)
+        monkeypatch.setattr(probes, "_twisted", recording)
         t_length = 0.0625
         trilinear_form_probe(4.0, 1.0, 4.0, t_length, G16, samples=1, num_steps=129)
         windows = [(16, 2.0), (16, 4.0), (32, 2.0)]
@@ -531,3 +540,17 @@ def test_strichartz_peak_memory_stays_on_the_column_block():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20
+
+
+def test_trilinear_probe_keeps_its_proxy_frames_on_the_shell_support():
+    """One (8, 2, 8) sample at 64^2 peaks below two (65, 128, 43) complex stacks of
+    doubled-grid band-block frames (10.9 MiB) of traced memory: the kept proxy frames
+    hold the three shells' modes only, and no frame stack is weighted per shell."""
+    grid = make_grid(64, 64, 2 * np.pi, 2 * np.pi)
+    tracemalloc.start()
+    try:
+        trilinear_form_probe(8.0, 2.0, 8.0, 0.125, grid, samples=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 65 * 128 * 43 * np.dtype(np.complex128).itemsize

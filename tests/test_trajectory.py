@@ -80,6 +80,16 @@ class TestContainer:
         np.testing.assert_array_equal(stf.frame(-1).coeffs, full[-1])
         np.testing.assert_array_equal(stf.values(), g.to_physical(full))
 
+    def test_full_input_is_copied_a_block_is_kept(self):
+        """A trajectory built from full frames holds no view of them; a leading block,
+        such as evolve's frames, is kept as given."""
+        full = hermitian_frames(G, 3, 0)
+        stf = SpaceTimeField(G, 0.0, 0.1, full)
+        assert not np.shares_memory(stf.block, full)
+        np.testing.assert_array_equal(stf.block, full[..., :G.ny // 2 + 1])
+        block = np.ascontiguousarray(full[..., :G.band_columns])
+        assert np.shares_memory(SpaceTimeField(G, 0.0, 0.1, block).block, block)
+
     def test_block_wider_than_half_spectrum_rejected(self):
         with pytest.raises(DataError):
             SpaceTimeField(G, 0.0, 0.1, np.zeros((5, 16, 10), dtype=complex))
