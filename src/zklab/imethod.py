@@ -289,8 +289,10 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
 
 # -- increment identity and scans ----------------------------------------------
 
-# Frames per block of the increment check: at 64^2 its temporaries stay at a few MB.
-_BLOCK_FRAMES = 64
+# Bytes of physical samples per block of the increment check: 2 frames at 64^2, 1 from 128^2
+# up.  Its temporaries, several times a block, then stay below malloc's 128 KiB mmap threshold
+# at 64^2 and are reused from the heap instead of being mapped and faulted in per block.
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -313,15 +315,17 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
     The integrand is sampled at every frame and integrated by composite
     Simpson; the residual is relative to max(|lhs|, integral scale, 1e-14).
     Frames are read from the trajectory's block, band-checked and evaluated
-    _BLOCK_FRAMES at a time, from one pair of products each (four transforms
-    per frame); only the two end frames are brought to the full spectrum.
+    in blocks of at most _BLOCK_BYTES of real physical samples (at least one
+    frame), from one pair of products each (four transforms per frame); only
+    the two end frames are brought to the full spectrum.
     """
     if trajectory.num_frames < 5:
         raise UsageError("increment check needs at least 5 frames")
     grid, block, dt = trajectory.grid, trajectory.block, trajectory.dt
     frame_forms, msym = _factored_forms(mult, grid)[2], mult.symbol(grid)
-    im3, im4 = np.concatenate([frame_forms(block[k:k + _BLOCK_FRAMES]) for k in
-                               range(0, trajectory.num_frames, _BLOCK_FRAMES)], axis=-1)
+    frames = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny))
+    im3, im4 = np.concatenate([frame_forms(block[k:k + frames]) for k in
+                               range(0, trajectory.num_frames, frames)], axis=-1)
     integrand = im3 - im4
     rhs, scale, lambda3_integral, lambda4_integral = map(float, definite_integral(
         np.stack([integrand, np.abs(integrand), im3, im4], axis=-1), dt))

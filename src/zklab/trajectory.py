@@ -41,8 +41,8 @@ class SpaceTimeField:
             raise DataError(f"coeffs shape {coeffs.shape} does not match grid")
         if coeffs.shape[0] < 1:
             raise DataError("a trajectory needs at least one frame")
-        if not (dt > 0.0) and coeffs.shape[0] > 1:
-            raise DataError("dt must be positive for multi-frame trajectories")
+        if not (0.0 < dt < np.inf) and coeffs.shape[0] > 1:
+            raise DataError("dt must be finite and positive for multi-frame trajectories")
         block = coeffs[:, :, :grid.ny // 2 + 1]
         vars(self).update(grid=grid, t0=t0, dt=dt,
                           block=block if block.shape == coeffs.shape else block.copy())

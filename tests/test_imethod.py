@@ -293,6 +293,33 @@ class TestIncrementIdentity:
         with pytest.raises(DataError):
             increment_identity_check(SpaceTimeField(g, 0.0, traj.dt, block), mult)
 
+    @pytest.mark.parametrize("ny, default_blocks", [(16, 5), (32, 10)])
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, ny, default_blocks):
+        """One frame per block, one block and the default budget (32 and 16 frames here,
+        so 150 frames end in a partial block) give one report, bit for bit."""
+        g = make_grid(16, ny, 2 * np.pi, 3.0)
+        u0 = random_band_limited(g, seed=11, norm="sobolev", norm_s=1.0, amplitude=2.0)
+        traj = evolve(u0, 0.149, 1e-3, DispersionForm.ORIGINAL)
+        mult = IMultiplier(0.8, 2.0)
+        calls = []
+        to_physical = Grid2D.to_physical
+
+        def counting(grid, coeffs):
+            calls.append(coeffs.shape)
+            return to_physical(grid, coeffs)
+
+        monkeypatch.setattr(Grid2D, "to_physical", counting)
+        reports = {}
+        for budget, blocks in ((None, default_blocks), (1, 150), (1 << 30, 1)):
+            if budget is not None:
+                monkeypatch.setattr(zklab.imethod, "_BLOCK_BYTES", budget)
+            calls.clear()
+            reports[budget] = increment_identity_check(traj, mult)
+            assert len(calls) == 2 * blocks + 2  # W and V per block, two end-point energies
+        assert traj.num_frames == 150
+        assert reports[1] == reports[None] and reports[1 << 30] == reports[None]
+        assert np.isfinite(reports[None].residual) and reports[None].residual < 1e-2
+
     def test_symbol_built_at_most_twice(self, monkeypatch):
         """I's symbol is built once for the Lambda forms and once for the
         frames and both end-point energies, which still equal E(I u)."""
@@ -411,6 +438,22 @@ def test_increment_check_traces_less_than_a_full_frame_stack():
         tracemalloc.stop()
     assert traj.num_frames == 501
     assert peak < 501 * 64 * 64 * np.dtype(np.complex128).itemsize
+
+
+def test_increment_check_at_128_traces_less_than_its_trajectory():
+    """33 band-limited frames at 128^2 (no stepping): the check's traced peak stays below
+    the trajectory's own (33, 128, 65) half-spectrum block, 4.19 MiB."""
+    g = make_grid(128, 128, 2 * np.pi, 2 * np.pi)
+    frames = np.stack([random_band_limited(g, seed=s, amplitude=0.5).coeffs for s in range(33)])
+    traj = SpaceTimeField(g, 0.0, 1e-3, frames)
+    tracemalloc.start()
+    try:
+        report = increment_identity_check(traj, IMultiplier(0.9, 4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.residual)
+    assert peak < traj.block.nbytes
 
 
 class TestIncrementScan:

@@ -53,6 +53,14 @@ class TestContainer:
         with pytest.raises(DataError):
             SpaceTimeField(G, 0.0, 0.0, np.zeros((5, 16, 16), dtype=complex))
 
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, -1.0])
+    def test_dt_not_finite_and_positive_rejected(self, dt):
+        """dt = inf once gave increment_identity_check non-finite integrals and a nan
+        residual; a single frame has no time step and takes any dt."""
+        with pytest.raises(DataError, match="finite and positive"):
+            SpaceTimeField(G, 0.0, dt, np.zeros((9, 16, 16), dtype=complex))
+        assert SpaceTimeField(G, 0.0, dt, np.zeros((1, 16, 16), dtype=complex)).num_frames == 1
+
     @settings(max_examples=40, deadline=None)
     @given(nx=SIZES, ny=SIZES, seed=st.integers(0, 2 ** 32 - 1))
     def test_half_spectrum_storage_round_trips(self, nx, ny, seed):
