@@ -13,15 +13,15 @@ fallback near z = 0, which is stable for the purely imaginary spectrum here.
 Steps and their tableau run on the band block (``spectral`` docstring) with the
 one nonlinear term to_physical -> square -> to_spectral(columns) -> multiply.  A
 SolverState is projected onto the band once, when built; every term of a step vanishes
-off the band, so steps carry the block with no projection of their own and build the
-full-spectrum ``field`` only when read.
+off the band, so steps carry the block with no projection of their own, and ``evolve``
+hands each sampled state to its callback without building the full spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class SpectralKernel:
     def band_nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ on the band block, of any to_physical input: the one nonlinear term."""
         vals = self.grid.to_physical(coeffs)
-        return self.band_neg_dmask * self.grid.to_spectral(vals * vals, self.grid.band_columns)
+        return np.multiply(self.band_neg_dmask,
+                           self.grid.to_spectral(vals * vals, self.grid.band_columns))
 
     def phase(self, t, support=...) -> np.ndarray:
         """exp(i t omega) at the lattice points ``support`` indexes (all by default), shape
@@ -128,8 +129,8 @@ def etdrk4_tableau(grid, dt: float, form: DispersionForm) -> EtdrkTableau:
 
 
 class SolverState:
-    """Stepper state: spectral field, clock, step size, form, counters.  It stores the
-    band block ``band`` of the dealiased field; ``field`` is built from it on first read."""
+    """Stepper state: clock, step size, form, counters and ``band``, the band block of the
+    dealiased field (``grid.full_spectrum(state.band)`` is its full spectrum)."""
 
     def __init__(self, field: Field, t: float, dt: float, form: DispersionForm, steps: int = 0):
         if not dt > 0:
@@ -142,10 +143,6 @@ class SolverState:
         grid, band = field.grid, np.s_[:, :field.grid.band_columns]
         vars(self).update(band=field.coeffs[band] * grid.dealias_mask[band], grid=grid,
                           t=t, dt=dt, form=form, steps=steps)
-
-    @cached_property
-    def field(self) -> Field:
-        return Field(self.grid, self.grid.full_spectrum(self.band), "spectral")
 
 
 def scaled_l2(values: np.ndarray, weight: float) -> float:
@@ -165,14 +162,14 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     na = nonlinear(a)
     b = tab.e_half * uhat + tab.q * na
     nb = nonlinear(b)
-    c = tab.e_half * a + tab.q * (2.0 * nb - n0)
+    c = tab.e_half * a + np.multiply(tab.q, 2.0 * nb - n0)
     nc = nonlinear(c)
     new = tab.e_full * uhat + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
     if not np.all(np.isfinite(new)):
         raise InstabilityError(
             f"non-finite state at t = {state.t + state.dt:.6g}",
             last_diagnostics={"t": state.t, "steps": state.steps,
-                              "l2": scaled_l2(state.field.coeffs, grid.area)})
+                              "l2": scaled_l2(grid.full_spectrum(state.band), grid.area)})
     out = object.__new__(SolverState)  # the same dt and form, checked already
     vars(out).update(grid=grid, band=new, t=state.t + state.dt, dt=state.dt, form=state.form,
                      steps=state.steps + 1)
@@ -186,8 +183,8 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     ``t_final`` must be a whole number of steps and of sampling strides;
     the returned SpaceTimeField contains the frame at t = 0 (u0 projected onto the
     2/3 band) and every ``sample_every``-th step, stored as their band blocks.
-    ``diagnostics(t, field)`` is called at each sampled frame with the full-spectrum
-    field.  T = 0 returns the initial frame alone.
+    ``diagnostics(state)`` is called at each sampled frame with its SolverState.  T = 0
+    returns the initial frame alone.
     """
     from .trajectory import SpaceTimeField
 
@@ -206,7 +203,7 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     frames = np.empty((n_steps // sample_every + 1,) + state.band.shape, dtype=np.complex128)
     frames[0] = state.band
     if diagnostics is not None:
-        diagnostics(0.0, state.field)
+        diagnostics(state)
     if n_steps:
         tab = etdrk4_tableau(grid, dt, form)
         for k in range(1, n_steps + 1):
@@ -215,5 +212,5 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
             if k % sample_every == 0:
                 frames[k // sample_every] = state.band
                 if diagnostics is not None:
-                    diagnostics(state.t, state.field)
+                    diagnostics(state)
     return SpaceTimeField(grid, 0.0, dt * sample_every, frames)

@@ -316,21 +316,22 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
     Simpson; the residual is relative to max(|lhs|, integral scale, 1e-14).
     Frames are read from the trajectory's block, band-checked and evaluated
     in blocks of at most _BLOCK_BYTES of real physical samples (at least one
-    frame), from one pair of products each (four transforms per frame); only
-    the two end frames are brought to the full spectrum.
+    frame), from one pair of products each (four transforms per frame); E(Iu) at
+    the two ends is read off the block as well.
     """
     if trajectory.num_frames < 5:
         raise UsageError("increment check needs at least 5 frames")
     grid, block, dt = trajectory.grid, trajectory.block, trajectory.dt
-    frame_forms, msym = _factored_forms(mult, grid)[2], mult.symbol(grid)
+    frame_forms, m = _factored_forms(mult, grid)[2], mult.symbol(grid)[:, :grid.band_columns]
     frames = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny))
     im3, im4 = np.concatenate([frame_forms(block[k:k + frames]) for k in
                                range(0, trajectory.num_frames, frames)], axis=-1)
     integrand = im3 - im4
     rhs, scale, lambda3_integral, lambda4_integral = map(float, definite_integral(
         np.stack([integrand, np.abs(integrand), im3, im4], axis=-1), dt))
-    lhs = (energy(Field(grid, trajectory.frame(-1).coeffs * msym, "spectral"))
-           - energy(Field(grid, trajectory.frame(0).coeffs * msym, "spectral")))
+    end, start = block[[-1, 0], :, :grid.band_columns] * m
+    lhs = (_energy(grid, DispersionForm.ORIGINAL, end, grid.to_physical(end))
+           - _energy(grid, DispersionForm.ORIGINAL, start, grid.to_physical(start)))
     denom = max(abs(lhs), scale, IncrementReport.FLOOR)
     return IncrementReport(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / denom, denominator=denom,

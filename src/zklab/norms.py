@@ -78,13 +78,9 @@ def besov_norm_2_1(field: Field, s: float) -> float:
 
 
 def lebesgue_norm(field: Field, r: float) -> float:
-    """Spatial L^r lattice quadrature (r = inf gives the sample maximum)."""
-    vals = np.abs(field.values)
-    if np.isinf(r):
-        return float(vals.max())
-    if r < 1:
-        raise UsageError(f"r must be >= 1, got {r}")
-    return float((np.sum(vals ** r) * field.grid.cell_area) ** (1.0 / r))
+    """Spatial L^r lattice quadrature (r = inf gives the sample maximum): the one-frame
+    L^inf_t L^r_x norm."""
+    return _lebesgue_qr(np.abs(field.values)[None], 0.0, np.inf, r, field.grid.cell_area)
 
 
 # -- space-time norms ---------------------------------------------------------

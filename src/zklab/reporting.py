@@ -18,10 +18,10 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import scaled_l2
+from .dynamics import SolverState, scaled_l2
 from .errors import DataError
 from .forms import DispersionForm
-from .imethod import _energy, energy, mass
+from .imethod import _energy, mass
 from .spectral import Field, Grid2D, make_field
 
 __all__ = ["format_value", "write_csv", "write_json", "write_frame_csv",
@@ -170,8 +170,8 @@ def validate_manifest(manifest: dict) -> None:
 # -- run diagnostics ----------------------------------------------------------------
 
 class DiagnosticsRecorder:
-    """Per-sample conservation diagnostics (energy of ``form``), an evolve callback;
-    in-band spectral fields (every frame of ``evolve``) take all columns from one transform."""
+    """Per-sample conservation diagnostics (energy of ``form``), an evolve callback: each
+    row is read off a SolverState's band block, all columns from one transform."""
 
     HEADER = ["t (time units)", "mass (integral u^2)", "energy",
               "l2 (spatial L2)", "linf (max |u|)"]
@@ -180,11 +180,10 @@ class DiagnosticsRecorder:
         self.form = form
         self.rows: list[tuple] = []
 
-    def __call__(self, t: float, field: Field) -> None:
-        grid, phys = field.grid, field.physical()
-        m = mass(phys)
-        in_band = field.space == "spectral" and not np.any(field.data[~grid.dealias_mask])
-        e = (_energy(grid, self.form, field.data, phys.data) if in_band
-             else energy(field, self.form))
-        l2 = math.sqrt(m) if math.isfinite(m) else scaled_l2(phys.data, grid.cell_area)
-        self.rows.append((t, m, e, l2, float(np.max(np.abs(phys.data)))))
+    def __call__(self, state: SolverState) -> None:
+        grid = state.grid
+        vals = grid.to_physical(state.band)
+        m = mass(Field(grid, vals, "physical"))
+        l2 = math.sqrt(m) if math.isfinite(m) else scaled_l2(vals, grid.cell_area)
+        self.rows.append((state.t, m, _energy(grid, self.form, state.band, vals), l2,
+                          float(np.max(np.abs(vals)))))

@@ -149,7 +149,7 @@ class TestEtdrk4:
         for _ in range(20):
             state = step_etdrk4(state, tab)
         traj = evolve(u, 0.02, 1e-3, DispersionForm.SYMMETRIZED, sample_every=20)
-        np.testing.assert_allclose(state.field.coeffs, traj.frame(1).coeffs, atol=1e-14)
+        np.testing.assert_allclose(G.full_spectrum(state.band), traj.frame(1).coeffs, atol=1e-14)
         assert state.steps == 20
         assert state.t == pytest.approx(0.02)
 
@@ -192,8 +192,25 @@ class TestFailureModes:
     def test_diagnostics_hook(self):
         seen = []
         evolve(smooth_data(G), 0.01, 1e-3, DispersionForm.ORIGINAL,
-               sample_every=5, diagnostics=lambda t, f: seen.append(t))
+               sample_every=5, diagnostics=lambda state: seen.append(state.t))
         np.testing.assert_allclose(seen, [0.0, 5e-3, 1e-2], atol=1e-12)
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_diagnostics_receive_each_sampled_state(self, sample_every):
+        """The callback gets the stepper's own state at each sampled frame: its
+        counters, its clock and the band block the trajectory stores."""
+        seen, dt = [], 1e-3
+        traj = evolve(smooth_data(G), 12 * dt, dt, DispersionForm.SYMMETRIZED,
+                      sample_every=sample_every, diagnostics=seen.append)
+        assert len(seen) == traj.num_frames == 12 // sample_every + 1
+        t = 0.0
+        for k, state in enumerate(seen):
+            assert isinstance(state, SolverState)
+            assert state.steps == k * sample_every
+            assert state.t == t
+            np.testing.assert_array_equal(state.band, traj.block[k])
+            for _ in range(sample_every):
+                t += dt
 
 
 def reference_nonlinear(grid, form, coeffs):
@@ -248,7 +265,7 @@ class TestSpectralKernel:
         for _ in range(20):
             state = step_etdrk4(state, tab)
             ref = reference_step(ref, G, 1e-3, form)
-        gap = np.linalg.norm(state.field.coeffs - ref) / np.linalg.norm(ref)
+        gap = np.linalg.norm(G.full_spectrum(state.band) - ref) / np.linalg.norm(ref)
         assert gap <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -356,7 +373,7 @@ class TestHermitianSymmetry:
         tableau = etdrk4_tableau(g, dt, form)
         for _ in range(3):
             state = step_etdrk4(state, tableau)
-        assert hermitian_defect(state.field.coeffs) <= self.TOL
+        assert hermitian_defect(g.full_spectrum(state.band)) <= self.TOL
 
 
 def mirror(coeffs: np.ndarray) -> np.ndarray:
@@ -402,7 +419,8 @@ class TestHalfSpectrum:
         for frame in range(1, k + 1):
             state = step_etdrk4(state, tableau)
             want = traj.frame(frame).coeffs
-            assert np.linalg.norm(state.field.coeffs - want) <= 1e-14 * np.linalg.norm(want)
+            gap = np.linalg.norm(g.full_spectrum(state.band) - want)
+            assert gap <= 1e-14 * np.linalg.norm(want)
 
     @settings(max_examples=25, deadline=None)
     @given(**BOXES, form=st.sampled_from(list(DispersionForm)),
@@ -417,13 +435,13 @@ class TestHalfSpectrum:
         seen = []
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InstabilityError) as err:
-                evolve(u, 50 * dt, dt, form, diagnostics=lambda t, f: seen.append((t, f)))
-        t_last, last = seen[-1]
+                evolve(u, 50 * dt, dt, form, diagnostics=seen.append)
+        last = seen[-1]
         # math.hypot scales internally, so a state near overflow has a finite reference
-        l2 = math.sqrt(g.area) * math.hypot(*np.abs(last.coeffs).ravel())
+        l2 = math.sqrt(g.area) * math.hypot(*np.abs(g.full_spectrum(last.band)).ravel())
         diag = err.value.last_diagnostics
         assert diag["steps"] == len(seen) - 1
-        assert diag["t"] == t_last
+        assert diag["t"] == last.t
         assert np.isfinite(l2)
         assert diag["l2"] == pytest.approx(l2, rel=1e-14)
 
@@ -467,9 +485,9 @@ ELISION_BYTES = 256 * 1024
 
 class TestBandStepper:
     """step_etdrk4 carries only the band block between steps and is bit-equal
-    to the half-spectrum stepper it replaced, except where only the half
-    spectrum's temporaries are elided (nx * ny = 2 ** 15 among these grids):
-    there the two agree to round-off."""
+    to the half-spectrum stepper it replaced, except where the half spectrum's
+    temporaries are elided (nx * ny >= 2 ** 15 among these grids; the band
+    stepper pins its operand order): there the two agree to round-off."""
 
     @settings(max_examples=12, deadline=None)
     @given(nx=st.sampled_from([8, 16, 32, 64, 128, 256]),
@@ -480,7 +498,7 @@ class TestBandStepper:
     @example(nx=128, ny=256, lx=30.0, ly=11.0, seed=0)
     def test_twenty_steps_equal_the_half_spectrum_stepper(self, nx, ny, lx, ly, seed):
         g = make_grid(nx, ny, lx, ly)
-        elided = [16 * nx * width >= ELISION_BYTES for width in (ny // 2 + 1, g.band_columns)]
+        elided = 16 * nx * (ny // 2 + 1) >= ELISION_BYTES
         noise = np.random.default_rng(seed).standard_normal((nx, ny))
         u = make_field(g, 0.1 * noise).spectral()
         for form in DispersionForm:
@@ -502,11 +520,58 @@ class TestBandStepper:
             assert calls["full_spectrum"] == 0
             assert state.steps == 20 and state.t == pytest.approx(20 * dt, rel=1e-14)
             assert state.band.shape == (nx, ny // 3 + 1)
-            if elided[0] == elided[1]:
-                np.testing.assert_array_equal(state.field.coeffs, want)
+            if not elided:
+                np.testing.assert_array_equal(g.full_spectrum(state.band), want)
             else:
-                gap = np.linalg.norm(state.field.coeffs - want)
+                gap = np.linalg.norm(g.full_spectrum(state.band) - want)
                 assert gap <= 1e-14 * np.linalg.norm(want)
+
+
+def pinned_step(band, grid, tab, neg_dmask):
+    """step_etdrk4's expressions with every product an explicit np.multiply in the
+    written order, which temporary elision cannot swap."""
+    mul = np.multiply
+
+    def nonlinear(c):
+        vals = grid.to_physical(c)
+        return mul(neg_dmask, grid.to_spectral(mul(vals, vals), grid.band_columns))
+
+    n0 = nonlinear(band)
+    a = mul(tab.e_half, band) + mul(tab.q, n0)
+    na = nonlinear(a)
+    b = mul(tab.e_half, band) + mul(tab.q, na)
+    nb = nonlinear(b)
+    c = mul(tab.e_half, a) + mul(tab.q, mul(2.0, nb) - n0)
+    nc = nonlinear(c)
+    return (mul(tab.e_full, band) + mul(tab.f1, n0) + mul(mul(2.0, tab.f2), na + nb)
+            + mul(tab.f3, nc))
+
+
+class TestPinnedOperandOrder:
+    """step_etdrk4 rounds the same on every grid size: its products keep their
+    written operand order where numpy would elide a temporary (ELISION_BYTES).
+    Unit-amplitude noise on a wide box makes the nonlinear stages large enough
+    that a swapped operand order shows in the sums at 256^2."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(nx=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           ny=st.sampled_from([8, 16, 32, 64, 128, 256]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(nx=128, ny=256, lx=30.0, ly=11.0, seed=0)
+    @example(nx=256, ny=128, lx=2 * np.pi, ly=2 * np.pi, seed=1)
+    @example(nx=256, ny=256, lx=50.0, ly=50.0, seed=2)
+    def test_twenty_steps_equal_the_pinned_reference(self, nx, ny, lx, ly, seed):
+        g = make_grid(nx, ny, lx, ly)
+        u = make_field(g, np.random.default_rng(seed).standard_normal((nx, ny)))
+        for form in DispersionForm:
+            dt = min(1e-3, 0.5 / max_dispersion(g, form))
+            tableau = etdrk4_tableau(g, dt, form)
+            state = SolverState(u, 0.0, dt, form)
+            want = state.band
+            for _ in range(20):
+                state = step_etdrk4(state, tableau)
+                want = pinned_step(want, g, tableau, spectral_kernel(g, form).band_neg_dmask)
+            np.testing.assert_array_equal(state.band, want)
 
 
 class TestStateProjection:
@@ -525,7 +590,7 @@ class TestStateProjection:
         u = self.out_of_band(g)
         for field in (u, u.spectral()):
             state = SolverState(field, 0.0, 1e-3, DispersionForm.ORIGINAL)
-            np.testing.assert_array_equal(state.field.coeffs, dealias(u).coeffs)
+            np.testing.assert_array_equal(g.full_spectrum(state.band), dealias(u).coeffs)
 
     @pytest.mark.parametrize("form", list(DispersionForm))
     def test_steps_equal_those_from_the_dealiased_field(self, form):
@@ -536,5 +601,5 @@ class TestStateProjection:
         raw, clean = SolverState(u, 0.0, dt, form), SolverState(dealias(u), 0.0, dt, form)
         for _ in range(20):
             raw, clean = step_etdrk4(raw, tableau), step_etdrk4(clean, tableau)
-        np.testing.assert_array_equal(raw.field.coeffs, clean.field.coeffs)
-        assert not np.any(raw.field.coeffs[~g.dealias_mask])
+        np.testing.assert_array_equal(raw.band, clean.band)
+        assert not np.any(g.full_spectrum(raw.band)[~g.dealias_mask])

@@ -40,6 +40,7 @@ def test_every_all_entry_exists():
     (zklab.Field, "__add__"), (zklab.Field, "__sub__"), (zklab.Field, "__mul__"),
     (zklab.Field, "__rmul__"), (zklab.Grid2D, "half_spectrum"), (zklab.EtdrkTableau, "band"),
     (zklab.dynamics.SpectralKernel, "nonlinear"), (zklab, "dealias_mask"),
+    (zklab.SolverState, "field"),
     pytest.param(zklab.spectral, "dealias_mask", id="spectral-dealias_mask"),
     *(pytest.param(zklab.dynamics.spectral_kernel(zklab.make_grid(16, 16, 1.0, 1.0),
                                                   zklab.DispersionForm.ORIGINAL),

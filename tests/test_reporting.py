@@ -12,6 +12,8 @@ from zklab import (
     DataError,
     DiagnosticsRecorder,
     DispersionForm,
+    Field,
+    SolverState,
     build_manifest,
     dealias,
     energy,
@@ -26,6 +28,7 @@ from zklab import (
     write_frame_csv,
     write_json,
 )
+from zklab.dynamics import max_dispersion
 
 G = make_grid(16, 16, 2 * np.pi, 4 * np.pi)
 
@@ -144,23 +147,31 @@ class TestDiagnosticsRecorder:
         assert len(rec.HEADER) == len(rec.rows[0])
 
     @pytest.mark.parametrize("form", list(DispersionForm))
-    @pytest.mark.parametrize("kind", ["in-band", "out-of-band", "physical"])
-    def test_rows_are_the_public_quantities(self, form, kind):
-        """The one-transform path of in-band spectral fields and the separate
-        path of every other field write the same numbers as the public calls."""
-        u = make_field(G, np.random.default_rng(4).standard_normal((G.nx, G.ny)))
-        u = {"in-band": dealias(u), "out-of-band": u.spectral(), "physical": u}[kind]
-        rec = DiagnosticsRecorder(form)
-        rec(0.5, u)
-        m = mass(u)
-        assert rec.rows == [(0.5, m, energy(u, form), math.sqrt(m),
-                             float(np.max(np.abs(u.values))))]
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (16, 32), (64, 8)])
+    def test_rows_are_the_public_quantities(self, form, nx, ny):
+        """Rows read off each state's band block equal the public calls on its
+        full-spectrum field."""
+        g = make_grid(nx, ny, 2 * np.pi, 3.0)
+        u = make_field(g, 0.3 * np.random.default_rng(4).standard_normal((nx, ny)))
+        rec, want = DiagnosticsRecorder(form), []
+
+        def both(state):
+            rec(state)
+            field = Field(g, g.full_spectrum(state.band), "spectral")
+            m = mass(field)
+            want.append((state.t, m, energy(field, form), math.sqrt(m),
+                         float(np.max(np.abs(field.values)))))
+
+        dt = min(1e-3, 0.5 / max_dispersion(g, form))
+        evolve(u, 4 * dt, dt, form, sample_every=2, diagnostics=both)
+        assert len(want) == 3
+        assert rec.rows == want
 
     def test_l2_stays_finite_where_mass_overflows(self):
         u = dealias(make_field(G, 1e200 * np.cos(G.x[:, None] + 0.0 * G.y[None, :])))
         rec = DiagnosticsRecorder()
         with np.errstate(over="ignore", invalid="ignore"):
-            rec(0.0, u)
+            rec(SolverState(u, 0.0, 1e-3, DispersionForm.ORIGINAL))
         _, m, _, l2, linf = rec.rows[0]
         assert m == np.inf
         # ||A cos x||_2 = A sqrt(area / 2)
