@@ -23,12 +23,11 @@ from .dynamics import (DT_OMEGA_LIMIT, EtdrkTableau, SolverState, etdrk4_tableau
                        evolve, linear_propagator, max_dispersion, step_etdrk4)
 from .scaling import (RotationMap, rescale, rotate_from_symmetrized,
                       rotate_to_symmetrized)
-from .imethod import (IMultiplier, MultilinearSymbol, IncrementReport,
-                      ScanResult, GwpLedger, energy, gwp_iteration,
-                      growth_exponent, horizon_exponent, i_operator,
-                      increment_identity_check, increment_scan,
-                      increment_symbols, lambda3, lambda4, lambda_exponent,
-                      mass, modified_energy, regularity_threshold)
+from .imethod import (IMultiplier, IncrementReport, ScanResult, GwpLedger,
+                      energy, gwp_iteration, growth_exponent, horizon_exponent,
+                      i_operator, increment_identity_check, increment_scan,
+                      lambda3, lambda4, lambda_exponent, mass, modified_energy,
+                      regularity_threshold)
 from .picard import PicardResult, picard_horizon, picard_iterate
 from .ic import (PRESETS, cosine_mode, gaussian_bump, make_initial,
                  random_band_limited, shell_field, two_pulses)

@@ -14,9 +14,11 @@ Galerkin flow:
 with the convention Lambda_k(m; u) = lx*ly * sum over the zero-sum lattice
 hyperplane of m * prod uhat(zeta_j).  The M3 and M4 pair frequencies carry
 the 2/3-band indicator of the solver's dealiasing, which is what makes the
-identity exact for the discrete flow up to time quadrature.  Invariants and
-forms are read off the coefficients by discrete Parseval; only the factors of
-pointwise products are transformed (``_factored_forms``).
+identity exact for the discrete flow up to time quadrature.  ``lambda3(fields,
+mult)`` and ``lambda4(fields, mult)`` evaluate these forms with m = m^s_N of
+``mult``, on slots that hold I u.  Invariants and forms are read off the
+coefficients by discrete Parseval; only the factors of pointwise products are
+transformed (``_factored_forms``).
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from .scaling import rescale
 from .spectral import Field, Grid2D, dealias
 from .trajectory import SpaceTimeField
 
-__all__ = ["IMultiplier", "MultilinearSymbol", "IncrementReport", "ScanResult",
-           "GwpLedger", "i_operator", "mass", "energy", "modified_energy",
-           "lambda3", "lambda4", "increment_symbols",
+__all__ = ["IMultiplier", "IncrementReport", "ScanResult", "GwpLedger",
+           "i_operator", "mass", "energy", "modified_energy", "lambda3", "lambda4",
            "increment_identity_check", "increment_scan", "gwp_iteration",
            "lambda_exponent", "horizon_exponent", "growth_exponent",
            "regularity_threshold"]
@@ -127,24 +128,6 @@ def modified_energy(field: Field, mult: IMultiplier) -> float:
 
 # -- multilinear forms ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultilinearSymbol:
-    """Pointwise symbol m(zeta_1, ..., zeta_k) with optional fast evaluator.
-
-    ``fn(xis, etas)`` receives k broadcastable arrays per coordinate and
-    returns the symbol values.  ``factored(fields)`` when present evaluates
-    Lambda_k via spectral products instead of the O(n^(2(k-1))) sum.
-    """
-
-    arity: int
-    fn: object
-    name: str = ""
-    factored: object = None
-
-    def __call__(self, xis, etas):
-        return self.fn(xis, etas)
-
-
 def _as_field_list(fields, arity: int) -> list[Field]:
     if isinstance(fields, Field):
         return [fields] * arity
@@ -157,81 +140,19 @@ def _as_field_list(fields, arity: int) -> list[Field]:
     return fields
 
 
-def _direct_lambda(fields: list[Field], symbol: MultilinearSymbol) -> complex:
-    """Direct zero-sum hyperplane summation (no wraparound; off-lattice
-    index combinations are dropped).  Cost O(n^(2(k-1))): the last three slots
-    are summed as arrays, for arity 4 once per non-zero mode of the first."""
-    grid = fields[0].grid
-    nx, ny = grid.nx, grid.ny
-    jj, kk = np.repeat(grid.jx, ny), np.tile(grid.jy, nx)
-    flats = [f.coeffs.reshape(-1) for f in fields]
-    sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
-    ja, jb, ka, kb = jj[:, None], jj[None, :], kk[:, None], kk[None, :]
-    total = 0.0 + 0.0j
-    for lead in [()] if symbol.arity == 3 else [(i,) for i in np.flatnonzero(flats[0])]:
-        jl = -(sum(jj[i] for i in lead) + ja + jb)
-        kl = -(sum(kk[i] for i in lead) + ka + kb)
-        valid = (jl >= -nx // 2) & (jl <= nx // 2 - 1) & (kl >= -ny // 2) & (kl <= ny // 2 - 1)
-        vals = symbol([sx * jj[i] for i in lead] + [sx * ja, sx * jb, sx * jl],
-                      [sy * kk[i] for i in lead] + [sy * ka, sy * kb, sy * kl])
-        prod = flats[-3][:, None] * flats[-2][None, :] * flats[-1][(jl % nx) * ny + kl % ny]
-        total += np.prod([flats[0][i] for i in lead]) * np.sum(np.where(valid, vals * prod, 0.0))
-    return grid.area * complex(total)
+def lambda3(fields, mult: IMultiplier) -> complex:
+    """Lambda_3(M3; w1, w2, w3) = lx*ly * sum_{z1+z2+z3=0} M3 * w1hat w2hat w3hat, where
+    M3 = xi_1 |zeta_1|^2 [1 - m(z2 + z3) / (m(z2) m(z3))] for m = m^s_N of ``mult``.
+    The slots hold I u; one Field fills all three."""
+    fields = _as_field_list(fields, 3)
+    return _factored_forms(mult, fields[0].grid)[0](fields)
 
 
-def _lambda(arity: int, fields, symbol: MultilinearSymbol, method: str) -> complex:
-    if symbol.arity != arity:
-        raise UsageError(f"lambda{arity} needs an arity-{arity} symbol")
-    fields = _as_field_list(fields, arity)
-    if method == "auto" and symbol.factored is not None:
-        return symbol.factored(fields)
-    if method not in ("auto", "direct"):
-        raise UsageError(f"method must be 'auto' or 'direct', got {method!r}")
-    return _direct_lambda(fields, symbol)
-
-
-def lambda3(fields, symbol: MultilinearSymbol, method: str = "auto") -> complex:
-    """Lambda_3(m; u1, u2, u3) = lx*ly * sum_{z1+z2+z3=0} m * prod uhat."""
-    return _lambda(3, fields, symbol, method)
-
-
-def lambda4(fields, symbol: MultilinearSymbol, method: str = "auto") -> complex:
-    """Lambda_4(m; u1, ..., u4), same conventions as lambda3."""
-    return _lambda(4, fields, symbol, method)
-
-
-def increment_symbols(mult: IMultiplier, grid: Grid2D):
-    """The (M3, M4) pair of the modified-energy increment identity.
-
-    Both carry factored fast evaluators (``_factored_forms``); the pointwise
-    ``fn`` is what the direct oracle sums.  Pair frequencies outside the 2/3
-    band, the unpaired Nyquist line among them, are gated to zero.
-    """
-    jmax_x, jmax_y = grid.band_index
-    sx, sy = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
-
-    def pair_gate(xi_sum, eta_sum):
-        j = np.rint(np.asarray(xi_sum) / sx)
-        k = np.rint(np.asarray(eta_sum) / sy)
-        return ((np.abs(j) <= jmax_x) & (np.abs(k) <= jmax_y)).astype(np.float64)
-
-    def m(xis, etas):
-        return mult.weight(np.hypot(xis, etas))
-
-    def m3_fn(xis, etas):
-        ratio = m(xis[1] + xis[2], etas[1] + etas[2]) / (m(xis[1], etas[1]) * m(xis[2], etas[2]))
-        gate = pair_gate(xis[1] + xis[2], etas[1] + etas[2])
-        r1sq = xis[0] ** 2 + etas[0] ** 2
-        return xis[0] * r1sq * (1.0 - gate * ratio)
-
-    def m4_fn(xis, etas):
-        xs, es = xis[0] + xis[1], etas[0] + etas[1]
-        gate = pair_gate(xs, es)
-        return xs * m(xs, es) * gate / (m(xis[0], etas[0]) * m(xis[1], etas[1]))
-
-    m3_factored, m4_factored, _ = _factored_forms(mult, grid)
-    return (MultilinearSymbol(3, m3_fn, name="increment-M3", factored=m3_factored),
-            MultilinearSymbol(4, m4_fn, name="increment-M4", factored=m4_factored))
+def lambda4(fields, mult: IMultiplier) -> complex:
+    """Lambda_4(M4; w1, ..., w4), M4 = (xi_1 + xi_2) m(z1 + z2) / (m(z1) m(z2)) for
+    m = m^s_N of ``mult``; same conventions as lambda3."""
+    fields = _as_field_list(fields, 4)
+    return _factored_forms(mult, fields[0].grid)[1](fields)
 
 
 def _factored_forms(mult: IMultiplier, grid: Grid2D):
@@ -271,11 +192,11 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
         return [w[id(f)] for f in fields], [v[id(f)] for f in fields]
 
     def m3_factored(fields):
-        w, v = inputs(fields, "lambda3 (factored)")
+        w, v = inputs(fields, "lambda3")
         return complex(0.0, lambda3(w[0], pair(*w[1:]), pair(*v[1:])))
 
     def m4_factored(fields):
-        w, v = inputs(fields, "lambda4 (factored)")
+        w, v = inputs(fields, "lambda4")
         return complex(0.0, lambda4(pair(*w[2:]), pair(*v[:2])))
 
     def frames(block):
@@ -352,8 +273,8 @@ class ScanResult:
 def increment_scan(u0: Field, s: float, n_list, delta: float, dt: float) -> ScanResult:
     """|E(I_N u)(delta) - E(I_N u)(0)| over a ladder of N, with log-log slope."""
     n_list = sorted(float(n) for n in n_list)
-    if len(n_list) < 2:
-        raise UsageError("need at least two N values to fit a slope")
+    if len(set(n_list)) < 2:
+        raise UsageError("need at least two distinct N values to fit a slope")
     trajectory = evolve(u0, delta, dt, DispersionForm.ORIGINAL,
                         sample_every=max(1, int(round(delta / dt))))
     first, last = trajectory.frame(0), trajectory.frame(-1)

@@ -23,8 +23,8 @@ __all__ = ["lp_project", "shell_weight", "dyadic_shells", "partition_values",
 
 
 def is_dyadic(n: float) -> bool:
-    """True for 2**k with integer k (including fractions like 0.5)."""
-    if n <= 0:
+    """True for 2**k with integer k (including fractions like 0.5); False for inf and nan."""
+    if not 0 < n < np.inf:
         return False
     m = np.log2(n)
     return float(m) == np.round(m)

@@ -175,6 +175,14 @@ class TestOtherSubcommands:
         man = json.load(open(tmp_path / "manifest.json"))
         assert "slope" in man
 
+    def test_imethod_scan_with_one_distinct_n_is_2(self, tmp_path, capsys):
+        code = run(tmp_path, "imethod-scan", "--nx", "16", "--preset", "random",
+                   "--amplitude", "0.5", "--N-list", "4,4", "--delta", "0.01",
+                   "--dt", "0.001")
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "manifest.json")
+
     def test_gwp_ledger(self, tmp_path):
         code = run(tmp_path, "gwp", "--nx", "16", "--preset", "random",
                    "--seed", "6", "--kmax", "3", "--norm", "sobolev",

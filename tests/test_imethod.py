@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zklab.imethod
+from lattice_oracle import MultilinearSymbol, direct_lambda, increment_symbols
 from zklab import (
     DataError,
     IMultiplier,
-    MultilinearSymbol,
     UsageError,
     energy,
     evolve,
@@ -27,7 +27,6 @@ from zklab import (
     i_operator,
     increment_identity_check,
     increment_scan,
-    increment_symbols,
     gwp_iteration,
     growth_exponent,
     horizon_exponent,
@@ -106,7 +105,7 @@ class TestMultiplier:
         np.testing.assert_array_equal(w, 1.0)
 
     def test_validation(self):
-        for s, n in ((0.5, 4.0), (1.2, 4.0), (0.9, 3.0), (0.9, 0.5)):
+        for s, n in ((0.5, 4.0), (1.2, 4.0), (0.9, 3.0), (0.9, 0.5), (0.8, float("inf"))):
             with pytest.raises(UsageError):
                 IMultiplier(s, n)
 
@@ -154,25 +153,27 @@ class TestLambdaForms:
         u = mode(G16, 1, 0)
         v = mode(G16, 0, 1)
         w = mode(G16, -1, -1)
-        got = lambda3([u, v, w], self.unit3(), method="direct")
+        got = direct_lambda([u, v, w], self.unit3())
         assert got == pytest.approx(G16.area / 4.0, rel=1e-12)
 
     def test_fast_matches_direct_m3(self):
         g = make_grid(8, 8, 2 * np.pi, 2 * np.pi)
-        m3, _ = increment_symbols(IMultiplier(0.8, 1.0), g)
+        mult = IMultiplier(0.8, 1.0)
+        m3, _ = increment_symbols(mult, g)
         for seed in range(4):
             u = random_band_limited(g, seed=seed, amplitude=0.7)
-            fast = lambda3([u, u, u], m3)
-            direct = lambda3([u, u, u], m3, method="direct")
+            fast = lambda3([u, u, u], mult)
+            direct = direct_lambda([u, u, u], m3)
             assert fast == pytest.approx(direct, rel=1e-10, abs=1e-13)
 
     def test_fast_matches_direct_m4(self):
         g = make_grid(8, 8, 2 * np.pi, 2 * np.pi)
-        _, m4 = increment_symbols(IMultiplier(0.8, 1.0), g)
+        mult = IMultiplier(0.8, 1.0)
+        _, m4 = increment_symbols(mult, g)
         for seed in range(4):
             u = random_band_limited(g, seed=seed, amplitude=0.7)
-            fast = lambda4([u, u, u, u], m4)
-            direct = lambda4([u, u, u, u], m4, method="direct")
+            fast = lambda4([u, u, u, u], mult)
+            direct = direct_lambda([u, u, u, u], m4)
             assert fast == pytest.approx(direct, rel=1e-10, abs=1e-13)
 
     @pytest.mark.parametrize("nx,n_block", [(8, 1.0), (8, 2.0), (16, 1.0), (16, 2.0)])
@@ -180,57 +181,64 @@ class TestLambdaForms:
         """Repeated and distinct slots, including a field that recurs in
         non-adjacent slots, give the oracle's value."""
         g = make_grid(nx, nx, 2 * np.pi, 2 * np.pi)
-        m3, m4 = increment_symbols(IMultiplier(0.8, n_block), g)
+        mult = IMultiplier(0.8, n_block)
+        m3, m4 = increment_symbols(mult, g)
         a, b, c, d = (random_band_limited(g, seed=20 + k, amplitude=0.7) for k in range(4))
         cases = [(lambda3, m3, slots) for slots in ([a, b, c], [a, b, b], [b, a, b])]
         cases += [(lambda4, m4, slots) for slots in ([a, b, c, d], [a, a, b, b], [a, b, a, b])]
         for form, symbol, slots in cases:
-            fast = form(slots, symbol)
-            direct = form(slots, symbol, method="direct")
+            fast = form(slots, mult)
+            direct = direct_lambda(slots, symbol)
             assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(nx=st.sampled_from([8, 16]), ny=st.sampled_from([8, 16]),
+           lx=st.floats(0.5, 50.0), ly=st.floats(0.5, 50.0),
+           n_block=st.sampled_from([1.0, 2.0, 4.0]),
+           s=st.floats(0.55, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 4))
+    def test_matches_the_oracle_off_the_square_box(self, nx, ny, lx, ly, n_block, s, seed):
+        """Distinct slots on any box, square or not, give the oracle's value."""
+        g = make_grid(nx, ny, lx, ly)
+        mult = IMultiplier(s, n_block)
+        m3, m4 = increment_symbols(mult, g)
+        a, b, c, d = (random_band_limited(g, seed=seed + k, amplitude=0.7) for k in range(4))
+        for form, symbol, slots in ((lambda3, m3, [a, b, c]), (lambda4, m4, [a, b, c, d])):
+            assert form(slots, mult) == pytest.approx(direct_lambda(slots, symbol),
+                                                      rel=1e-10, abs=1e-12)
+
     def test_factored_rejects_out_of_band_input(self):
-        m3, m4 = increment_symbols(IMultiplier(0.8, 1.0), G16)
+        mult = IMultiplier(0.8, 1.0)
         u = random_band_limited(G16, seed=1, amplitude=0.5)
         outside = from_coefficients(G16, u.coeffs + mode(G16, 7, 0).coeffs)
         with pytest.raises(DataError):
-            lambda3([u, u, outside], m3)
+            lambda3([u, u, outside], mult)
         with pytest.raises(DataError):
-            lambda4([outside, u, u, u], m4)
-
-    def test_arity_checks(self):
-        u = mode(G16, 1, 0)
-        with pytest.raises(UsageError):
-            lambda3([u, u, u], MultilinearSymbol(4, lambda x, e: 1.0))
-        with pytest.raises(UsageError):
-            lambda4([u, u, u, u], self.unit3())
+            lambda4([outside, u, u, u], mult)
 
     def test_dispatch_errors(self):
-        """lambda3 and lambda4 share one dispatcher: wrong slot counts and
-        unknown methods fail the same way for both."""
+        """lambda3 and lambda4 reject a wrong slot count the same way."""
         u = mode(G16, 1, 0)
-        for form, symbol in zip((lambda3, lambda4),
-                                increment_symbols(IMultiplier(0.8, 1.0), G16)):
+        for form in (lambda3, lambda4):
             with pytest.raises(UsageError, match="expected"):
-                form([u, u], symbol)
-            with pytest.raises(UsageError, match="method"):
-                form(u, symbol, method="fast")
+                form([u, u], IMultiplier(0.8, 1.0))
 
     def test_symmetrize_preserves_value_on_equal_fields(self):
         g = make_grid(8, 8, 2 * np.pi, 2 * np.pi)
         m3, _ = increment_symbols(IMultiplier(0.8, 1.0), g)
         u = random_band_limited(g, seed=9, amplitude=0.5)
-        plain = lambda3([u, u, u], m3, method="direct")
-        sym = lambda3([u, u, u], symmetrize(m3), method="direct")
+        plain = direct_lambda([u, u, u], m3)
+        sym = direct_lambda([u, u, u], symmetrize(m3))
         assert sym == pytest.approx(plain, rel=1e-11, abs=1e-14)
 
     def test_huge_n_kills_lambda3(self):
         """With N beyond the band, I is the identity and M3 vanishes on the
         zero-sum set, so the cubic correction disappears."""
-        m3, _ = increment_symbols(IMultiplier(0.8, 64.0), G16)
+        mult = IMultiplier(0.8, 64.0)
+        m3, _ = increment_symbols(mult, G16)
         u = random_band_limited(G16, seed=5, amplitude=1.0)
-        assert abs(lambda3([u, u, u], m3)) < 1e-13
-        assert abs(lambda3([u, u, u], m3, method="direct")) < 1e-13
+        assert abs(lambda3([u, u, u], mult)) < 1e-13
+        assert abs(direct_lambda([u, u, u], m3)) < 1e-13
 
 
 class TestIncrementIdentity:
@@ -416,10 +424,9 @@ class TestParsevalForms:
         (columns,) = integrated
         for got, want in zip(columns.T[2:], (ref[:, 0].imag, ref[:, 1].imag)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        m3, m4 = increment_symbols(mult, g)
         w = i_operator(traj.frame(90), mult)
-        assert lambda3([w] * 3, m3) == pytest.approx(ref[90, 0], rel=1e-12)
-        assert lambda4([w] * 4, m4) == pytest.approx(ref[90, 1], rel=1e-12)
+        assert lambda3([w] * 3, mult) == pytest.approx(ref[90, 0], rel=1e-12)
+        assert lambda4([w] * 4, mult) == pytest.approx(ref[90, 1], rel=1e-12)
         assert report.lambda3_integral == pytest.approx(definite(ref[:, 0].imag, traj.dt),
                                                         rel=1e-12)
 
@@ -468,8 +475,10 @@ class TestIncrementScan:
         assert abs(res.slope) < 1e-6
 
     def test_needs_two_points(self):
-        with pytest.raises(UsageError):
-            increment_scan(mode(G16, 1, 0), 0.9, (4.0,), delta=0.01, dt=1e-3)
+        """A repeated N is one point of the fit, not two."""
+        for n_list in ((4.0,), (4.0, 4.0)):
+            with pytest.raises(UsageError, match="two distinct N"):
+                increment_scan(mode(G16, 1, 0), 0.9, n_list, delta=0.01, dt=1e-3)
 
 
 class TestExponents:

@@ -19,6 +19,7 @@ from zklab import (
 def test_is_dyadic():
     assert is_dyadic(1) and is_dyadic(2) and is_dyadic(64) and is_dyadic(0.5)
     assert not is_dyadic(3) and not is_dyadic(0) and not is_dyadic(-2)
+    assert not any(is_dyadic(x) for x in (float("inf"), float("-inf"), float("nan")))
 
 
 def test_shell_weight_rejects_bad_block():

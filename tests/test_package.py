@@ -40,7 +40,7 @@ def test_every_all_entry_exists():
     (zklab.Field, "__add__"), (zklab.Field, "__sub__"), (zklab.Field, "__mul__"),
     (zklab.Field, "__rmul__"), (zklab.Grid2D, "half_spectrum"), (zklab.EtdrkTableau, "band"),
     (zklab.dynamics.SpectralKernel, "nonlinear"), (zklab, "dealias_mask"),
-    (zklab.SolverState, "field"),
+    (zklab.SolverState, "field"), (zklab, "MultilinearSymbol"), (zklab, "increment_symbols"),
     pytest.param(zklab.spectral, "dealias_mask", id="spectral-dealias_mask"),
     *(pytest.param(zklab.dynamics.spectral_kernel(zklab.make_grid(16, 16, 1.0, 1.0),
                                                   zklab.DispersionForm.ORIGINAL),
@@ -62,6 +62,7 @@ def test_removed_names_stay_gone(owner, name):
         (zklab.RotationMap, "a"),
         (zklab.gaussian_bump, "x0"), (zklab.gaussian_bump, "y0"),
         (zklab.shell_field, "amplitude"), (zklab.cutoff_probe, "span"),
+        (zklab.lambda3, "method"), (zklab.lambda4, "method"),
     ]])
 def test_removed_parameters_stay_gone(owner, name):
     """Switches that nothing set are gone; each took the value it is now fixed at."""
