@@ -31,14 +31,6 @@ from .spectral import Grid2D
 __all__ = ["main"]
 
 
-# Flags every subcommand takes after --config.  A flag spec is the flag name,
-# or "flag=key" where the RunConfig key is not the flag with dashes turned
-# into underscores; the argparse type comes from the key's default (int and
-# float; anything else is passed on as a string for load_config to coerce).
-_COMMON = ("output-dir", "seed", "nx", "ny", "lx", "ly", "form", "preset",
-           "amplitude", "sigma", "kmax", "envelope", "norm", "norm-s")
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zklab",
@@ -47,12 +39,10 @@ def _parser() -> argparse.ArgumentParser:
     defaults = RunConfig()
     choices = {"form": [f.value for f in DispersionForm],
                "estimate": [*_PROBES, "cutoff"], "norm_name": list(_NORMS)}
-    for name, (_, summary, specs) in _SUBCOMMANDS.items():
+    for name, (_, summary, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat-key JSON config file")
-        for spec in _COMMON + specs:
-            flag, _, key = spec.partition("=")
-            key = key or flag.replace("-", "_")
+        for flag, key in _flags(name).items():
             kind = type(getattr(defaults, key))
             if kind is bool:
                 p.add_argument(f"--{flag}", dest=key, action="store_true", default=None)
@@ -62,10 +52,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flags(subcommand: str) -> dict:
+    """Flag -> RunConfig key, for each key the subcommand reads."""
+    specs = (spec.partition("=") for spec in ("output-dir", *_SUBCOMMANDS[subcommand][2]))
+    return {flag: key or flag.replace("-", "_") for flag, _, key in specs}
+
+
 def _config_from_args(args) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("config", "subcommand") and v is not None}
-    return load_config(args.config, overrides)
+    return load_config(args.config, overrides, args.subcommand,
+                       _flags(args.subcommand).values())
 
 
 def _output_dir(config: RunConfig) -> str:
@@ -96,9 +93,11 @@ def _initial(config: RunConfig, grid: Grid2D):
 
 def _finish(subcommand: str, config: RunConfig, outdir: str, started: float,
             outputs: list[str], extra: dict) -> None:
+    keys = _flags(subcommand).values()
+    echoed = {k: v for k, v in config.to_dict().items() if k in keys}
     echo = os.path.join(outdir, "config.json")
-    write_json(echo, config.to_dict())
-    manifest = build_manifest(subcommand, config.to_dict(),
+    write_json(echo, echoed)
+    manifest = build_manifest(subcommand, echoed,
                               time.monotonic() - started,
                               [os.path.basename(p) for p in outputs + [echo]],
                               extra)
@@ -228,21 +227,31 @@ def _run_norms(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     return [out], {"value": report.value}
 
 
-# subcommand -> (runner, help line, flag specs after the common ones); a runner
-# writes its files and returns (output paths, manifest extras) for _finish
+# subcommand -> (runner, help line, the keys the runner reads), which are its
+# flags after --config and --output-dir, the keys load_config accepts for it and
+# the keys _finish echoes.  A key is given as its flag, or "flag=key" where the
+# key is not the flag with dashes turned into underscores; the argparse type is
+# the default's (int, float; else a string for load_config to coerce).  A runner
+# writes its files and returns (output paths, manifest extras) for _finish.
+_GRID = ("nx", "ny", "lx", "ly")
+_DATA = ("seed", "preset", "amplitude", "sigma", "jx", "jy", "kmax", "envelope",
+         "norm", "norm-s")
 _SUBCOMMANDS = {
     "simulate": (_run_simulate, "time-step an initial condition",
-                 ("T=t_final", "dt", "sample-every", "dump-frames")),
+                 (*_GRID, "form", *_DATA, "T=t_final", "dt", "sample-every",
+                  "dump-frames")),
     "picard": (_run_picard, "Duhamel fixed-point iteration",
-               ("horizon", "n-iter", "num-nodes", "c0")),
+               (*_GRID, "form", *_DATA, "horizon", "n-iter", "num-nodes", "c0")),
+    # the I-method runs the original form, so these two take no --form
     "imethod-scan": (_run_scan, "modified-energy increments over N",
-                     ("s", "N-list=n_list", "delta", "dt")),
+                     (*_GRID, *_DATA, "s", "N-list=n_list", "delta", "dt")),
     "gwp": (_run_gwp, "rescale-and-iterate globalization run",
-            ("s", "T=t_target", "delta", "dt", "N=n_block", "max-windows")),
+            (*_GRID, *_DATA, "s", "T=t_target", "delta", "dt", "N=n_block",
+             "max-windows")),
     "probe": (_run_probe, "randomized estimate probes",
-              ("estimate", "q", "r", "N1=n1", "N2=n2", "N3=n3", "samples", "span",
-               "frames", "T-grid=t_grid", "L-grid=l_grid", "T=t_length",
-               "num-steps")),
+              (*_GRID, "seed", "estimate", "q", "r", "N1=n1", "N2=n2", "N3=n3",
+               "samples", "span", "frames", "T-grid=t_grid", "L-grid=l_grid",
+               "T=t_length", "num-steps")),
     "norms": (_run_norms, "norms of a stored frame", ("input", "norm-name", "s", "p")),
 }
 

@@ -1,8 +1,8 @@
 """Flat-key run configuration: JSON file, CLI overrides, typed validation.
 
-The schema is a single flat namespace (no nesting) so that every key can be
-overridden from the command line.  Unknown keys and out-of-range values
-raise ConfigurationError naming the offending key.
+The schema is one flat namespace (no nesting).  Each subcommand accepts, as
+flags and in a config file alike, exactly the keys it reads.  Unknown keys,
+unread keys and out-of-range values raise ConfigurationError naming the key.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ _LIST_KEYS = {"n_list", "t_grid", "l_grid"}
 _POSITIVE_KEYS = {"lx", "dt", "t_final", "delta", "t_target", "q", "r",
                   "n1", "n2", "n3", "span", "t_length", "c0", "sigma",
                   "s", "p"}
-# zero is a documented sentinel for these ("use the derived value")
-_NONNEGATIVE_KEYS = {"ly", "horizon", "kmax", "envelope", "n_block", "num_steps"}
+# zero is a seed, and for the rest a documented sentinel ("use the derived value")
+_NONNEGATIVE_KEYS = {"ly", "horizon", "kmax", "envelope", "n_block", "num_steps", "seed"}
 _INFINITE_KEYS = {"q", "r", "p"}  # inf is a documented Lebesgue endpoint
 
 
@@ -126,8 +126,10 @@ def _coerce(key: str, value, target_type):
             f"config key {key!r}: cannot interpret {value!r} as {target_type.__name__}")
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then file keys, then explicit overrides; all validated."""
+def load_config(path: str | None = None, overrides: dict | None = None,
+                subcommand: str = "", keys=None) -> RunConfig:
+    """Defaults, then file keys, then explicit overrides; all validated.  A key
+    outside ``keys`` (when given) is an error: ``subcommand`` does not read it."""
     config = RunConfig()
     merged: dict = {}
     if path:
@@ -148,6 +150,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     for key, value in merged.items():
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
+        if keys is not None and key not in keys:
+            raise ConfigurationError(f"config key {key!r}: not read by {subcommand}")
         updates[key] = _coerce(key, value, types[key])
     config = replace(config, **updates)
     _validate(config, set(updates))

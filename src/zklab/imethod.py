@@ -275,14 +275,12 @@ def increment_scan(u0: Field, s: float, n_list, delta: float, dt: float) -> Scan
     n_list = sorted(float(n) for n in n_list)
     if len(set(n_list)) < 2:
         raise UsageError("need at least two distinct N values to fit a slope")
+    mults = [IMultiplier(s, n) for n in n_list]
     trajectory = evolve(u0, delta, dt, DispersionForm.ORIGINAL,
                         sample_every=max(1, int(round(delta / dt))))
     first, last = trajectory.frame(0), trajectory.frame(-1)
-    rows = []
-    for n in n_list:
-        mult = IMultiplier(s, n)
-        de = abs(modified_energy(last, mult) - modified_energy(first, mult))
-        rows.append((n, de))
+    rows = [(m.n, abs(modified_energy(last, m) - modified_energy(first, m)))
+            for m in mults]
     logs = np.log([r[0] for r in rows])
     vals = np.log([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(logs, vals, 1)[0])
@@ -341,6 +339,8 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
     """
     from .norms import sobolev_norm
 
+    if max_windows < 1:
+        raise UsageError(f"max_windows must be at least 1, got {max_windows}")
     if n is None:
         if not 11.0 / 13.0 < s <= 1.0:
             raise UsageError("for s outside (11/13, 1] an explicit N is required")

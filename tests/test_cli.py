@@ -12,6 +12,7 @@ from zklab import (DispersionForm, besov_norm_2_1, energy, format_value, l4_prob
                    lebesgue_norm, make_grid, random_band_limited, sobolev_norm,
                    trilinear_form_probe, write_frame_csv)
 from zklab.cli import _parser, main
+from zklab.config import RunConfig
 from zklab.reporting import read_frame_csv, write_csv
 
 
@@ -52,6 +53,17 @@ class TestSimulate:
             "--T", "0.002", "--dt", "0.001")
         field = read_frame_csv(str(tmp_path / "frame_final.csv"))
         assert field.grid.nx == 16
+
+    def test_cosine_mode_reads_jx(self, tmp_path):
+        frames = {}
+        for jx in (1, 2):
+            out = tmp_path / str(jx)
+            assert main(["simulate", "--nx", "16", "--preset", "cosine-mode",
+                         "--jx", str(jx), "--amplitude", "0.1", "--T", "0.002",
+                         "--dt", "0.001", "--output-dir", str(out)]) == 0
+            frames[jx] = (out / "frame_final.csv").read_bytes()
+            assert json.load(open(out / "config.json"))["jx"] == jx
+        assert frames[1] != frames[2]
 
     def test_dump_frames(self, tmp_path):
         run(tmp_path, "simulate", "--nx", "16", "--preset", "gaussian",
@@ -142,6 +154,48 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and str(path) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--nx", "16", "--preset", "random", "--T", "0.002", "--dt", "0.001"],
+        ["probe", "--estimate", "strichartz", "--nx", "16", "--samples", "1",
+         "--frames", "5"],
+    ], ids=["simulate", "probe"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv, "--seed", "-1") == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("windows", ["0", "-3"])
+    def test_gwp_without_windows_is_2(self, tmp_path, capsys, windows):
+        code = run(tmp_path, "gwp", "--nx", "16", "--preset", "random",
+                   "--amplitude", "0.3", "--s", "0.95", "--T", "0.02",
+                   "--delta", "0.01", "--dt", "0.001", "--max-windows", windows)
+        assert code == 2
+        assert "max_windows" in capsys.readouterr().err
+        assert not (tmp_path / "gwp_ledger.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["norms", "--input", "frame.csv", "--nx", "64"],
+        ["imethod-scan", "--form", "symmetrized"],
+        ["gwp", "--form", "original"],
+        ["probe", "--estimate", "l4", "--form", "symmetrized"],
+        ["probe", "--preset", "random"],
+    ], ids=["norms-nx", "scan-form", "gwp-form", "probe-form", "probe-preset"])
+    def test_unread_flag_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("imethod-scan", "form", "symmetrized"), ("gwp", "form", "original"),
+        ("norms", "seed", 41), ("probe", "amplitude", 9.0)])
+    def test_unread_config_key_is_2(self, tmp_path, capsys, name, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([name, "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r}" in err and name in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_unknown_key_in_config_file_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -305,47 +359,54 @@ class TestOtherSubcommands:
         assert "input" in capsys.readouterr().err
 
 
-# Every action of every subcommand parser, recorded from the hand-written
-# parser that the table-built one replaced: option strings, dest, type,
-# choices and action kind.
+# Every action of every subcommand parser: option strings, dest, type, choices
+# and action kind.  A subcommand takes a flag for each key its runner reads and
+# for no other key.
 _COMMON_ACTIONS = [
     (("-h", "--help"), "help", None, None, "_HelpAction"),
     (("--config",), "config", None, None, "_StoreAction"),
     (("--output-dir",), "output_dir", None, None, "_StoreAction"),
-    (("--seed",), "seed", int, None, "_StoreAction"),
+]
+_GRID_ACTIONS = [
     (("--nx",), "nx", int, None, "_StoreAction"),
     (("--ny",), "ny", int, None, "_StoreAction"),
     (("--lx",), "lx", float, None, "_StoreAction"),
     (("--ly",), "ly", float, None, "_StoreAction"),
-    (("--form",), "form", None, {"original", "symmetrized"}, "_StoreAction"),
+]
+_FORM_ACTION = (("--form",), "form", None, {"original", "symmetrized"}, "_StoreAction")
+_SEED_ACTION = (("--seed",), "seed", int, None, "_StoreAction")
+_DATA_ACTIONS = [
+    _SEED_ACTION,
     (("--preset",), "preset", None, None, "_StoreAction"),
     (("--amplitude",), "amplitude", float, None, "_StoreAction"),
     (("--sigma",), "sigma", float, None, "_StoreAction"),
+    (("--jx",), "jx", int, None, "_StoreAction"),
+    (("--jy",), "jy", int, None, "_StoreAction"),
     (("--kmax",), "kmax", float, None, "_StoreAction"),
     (("--envelope",), "envelope", float, None, "_StoreAction"),
     (("--norm",), "norm", None, None, "_StoreAction"),
     (("--norm-s",), "norm_s", float, None, "_StoreAction"),
 ]
 _SUBCOMMAND_ACTIONS = {
-    "simulate": [
+    "simulate": _GRID_ACTIONS + [_FORM_ACTION] + _DATA_ACTIONS + [
         (("--T",), "t_final", float, None, "_StoreAction"),
         (("--dt",), "dt", float, None, "_StoreAction"),
         (("--sample-every",), "sample_every", int, None, "_StoreAction"),
         (("--dump-frames",), "dump_frames", None, None, "_StoreTrueAction"),
     ],
-    "picard": [
+    "picard": _GRID_ACTIONS + [_FORM_ACTION] + _DATA_ACTIONS + [
         (("--horizon",), "horizon", float, None, "_StoreAction"),
         (("--n-iter",), "n_iter", int, None, "_StoreAction"),
         (("--num-nodes",), "num_nodes", int, None, "_StoreAction"),
         (("--c0",), "c0", float, None, "_StoreAction"),
     ],
-    "imethod-scan": [
+    "imethod-scan": _GRID_ACTIONS + _DATA_ACTIONS + [
         (("--s",), "s", float, None, "_StoreAction"),
         (("--N-list",), "n_list", None, None, "_StoreAction"),
         (("--delta",), "delta", float, None, "_StoreAction"),
         (("--dt",), "dt", float, None, "_StoreAction"),
     ],
-    "gwp": [
+    "gwp": _GRID_ACTIONS + _DATA_ACTIONS + [
         (("--s",), "s", float, None, "_StoreAction"),
         (("--T",), "t_target", float, None, "_StoreAction"),
         (("--delta",), "delta", float, None, "_StoreAction"),
@@ -353,7 +414,7 @@ _SUBCOMMAND_ACTIONS = {
         (("--N",), "n_block", float, None, "_StoreAction"),
         (("--max-windows",), "max_windows", int, None, "_StoreAction"),
     ],
-    "probe": [
+    "probe": _GRID_ACTIONS + [_SEED_ACTION] + [
         (("--estimate",), "estimate", None,
          {"strichartz", "maximal", "bilinear", "gh-bilinear", "l4", "cutoff",
           "trilinear"}, "_StoreAction"),
@@ -380,6 +441,55 @@ _SUBCOMMAND_ACTIONS = {
 }
 
 
+def _read_keys(name: str) -> set:
+    """The RunConfig keys the recorded table gives the subcommand."""
+    return {action[1] for action in _COMMON_ACTIONS[2:] + _SUBCOMMAND_ACTIONS[name]}
+
+
+# one quick run of each subcommand
+_RUNS = {
+    "simulate": ["--nx", "16", "--preset", "random", "--seed", "3", "--kmax", "4",
+                 "--T", "0.002", "--dt", "0.001"],
+    "picard": ["--nx", "16", "--preset", "random", "--amplitude", "0.05",
+               "--n-iter", "2", "--num-nodes", "17"],
+    "imethod-scan": ["--nx", "16", "--preset", "random", "--amplitude", "0.5",
+                     "--N-list", "4,8", "--delta", "0.01", "--dt", "0.001"],
+    "gwp": ["--nx", "16", "--preset", "random", "--amplitude", "0.3", "--s", "0.95",
+            "--T", "0.02", "--delta", "0.01", "--dt", "0.001", "--max-windows", "3"],
+    "probe": ["--estimate", "l4", "--nx", "16", "--samples", "1", "--frames", "9"],
+    "norms": ["--norm-name", "besov", "--s", "0.5"],
+}
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("name", list(_RUNS))
+    def test_echo_holds_the_read_keys_and_reruns(self, tmp_path, name):
+        """config.json and the manifest's config hold exactly the keys the
+        subcommand reads, and rerunning from config.json rewrites every file
+        but the manifest byte for byte."""
+        out = tmp_path / "out"
+        argv = [name, *_RUNS[name], "--output-dir", str(out)]
+        if name == "norms":
+            frame = tmp_path / "frame.csv"
+            write_frame_csv(str(frame), random_band_limited(
+                make_grid(8, 8, 2 * np.pi, 2 * np.pi), seed=5, kmax=2.0))
+            argv += ["--input", str(frame)]
+        assert main(argv) == 0
+        echoed = json.load(open(out / "config.json"))
+        assert set(echoed) == _read_keys(name)
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["config"] == echoed
+        assert manifest["seed"] == echoed.get("seed")
+
+        def bodies():
+            return {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name != "manifest.json"}
+
+        first = bodies()
+        assert main([name, "--config", str(out / "config.json")]) == 0
+        assert bodies() == first
+
+
 def _subparsers() -> dict:
     parser = _parser()
     return next(a for a in parser._actions
@@ -396,6 +506,13 @@ class TestParser:
         assert got == _COMMON_ACTIONS + _SUBCOMMAND_ACTIONS[name]
         # unset flags must not override the config file or the defaults
         assert all(a.default is None for a in actions[1:])
+
+    def test_every_key_has_a_flag(self):
+        """104 flags after --config, and each RunConfig key is one of them."""
+        flags = [a for name in _SUBCOMMAND_ACTIONS
+                 for a in _subparsers()[name]._actions[2:]]
+        assert len(flags) == 104
+        assert {a.dest for a in flags} == set(RunConfig().to_dict())
 
     def test_subcommands_in_order(self):
         assert list(_subparsers()) == list(_SUBCOMMAND_ACTIONS)

@@ -480,6 +480,15 @@ class TestIncrementScan:
             with pytest.raises(UsageError, match="two distinct N"):
                 increment_scan(mode(G16, 1, 0), 0.9, n_list, delta=0.01, dt=1e-3)
 
+    def test_bad_multiplier_raises_before_stepping(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("evolve ran before the multipliers were checked")
+
+        monkeypatch.setattr(zklab.imethod, "evolve", fail)
+        for s, n_list in ((1.5, (4.0, 8.0)), (0.9, (0.0, 4.0))):
+            with pytest.raises(UsageError):
+                increment_scan(mode(G16, 1, 0), s, n_list, delta=0.01, dt=1e-3)
+
 
 class TestExponents:
     def test_hand_values(self):
@@ -513,6 +522,16 @@ class TestGwpIteration:
         assert ledger.growth_factor == pytest.approx(
             ledger.hs_final / ledger.hs_initial, rel=1e-12)
         assert ledger.exponents["lambda"] == lambda_exponent(0.95)
+
+    @pytest.mark.parametrize("max_windows", [0, -3])
+    def test_needs_a_window(self, monkeypatch, max_windows):
+        def fail(*args, **kwargs):
+            raise AssertionError("rescaled before max_windows was checked")
+
+        monkeypatch.setattr(zklab.imethod, "rescale", fail)
+        with pytest.raises(UsageError, match="max_windows"):
+            gwp_iteration(mode(G16, 1, 0, amp=0.1), 0.95, t_target=0.05,
+                          max_windows=max_windows)
 
     def test_low_s_needs_explicit_n(self):
         u0 = mode(G16, 1, 0, amp=0.1)
