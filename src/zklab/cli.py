@@ -49,6 +49,7 @@ def _parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(f"--{flag}", dest=key, choices=choices.get(key),
                                type=kind if kind in (int, float) else None)
+    parser.subcommands = sub.choices  # for main to refuse unread flags with their usage
     return parser
 
 
@@ -182,21 +183,16 @@ _PROBES = {
 
 
 def _run_probe(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
-    grid = _grid(config)
-    kind = config.estimate
+    grid, kind = _grid(config), config.estimate
     out = os.path.join(outdir, "probe.csv")
     if kind == "cutoff":
         rows, report = probes.cutoff_probe(config.t_grid, config.l_grid)
-        write_csv(out, ["T", "L", "high_l32", "normalized", "recon_error",
-                        "high_sup", "low_sup"],
-                  [[r["T"], r["L"], r["high_l32"], r["normalized"],
-                    r["recon_error"], r["high_sup"], r["low_sup"]] for r in rows])
     else:
         if kind not in _PROBES:
             raise ConfigurationError(f"unknown estimate {kind!r}")
         report = _PROBES[kind](config, grid)
-        row = report.to_row()
-        write_csv(out, list(row.keys()), [list(row.values())])
+        rows = [report.to_row()]
+    write_csv(out, list(rows[0]), rows)
     return [out], {"drift": report.drift, "estimate": report.estimate}
 
 
@@ -222,7 +218,7 @@ def _run_norms(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     report = _NORMS[name](name, field, config)
     out = os.path.join(outdir, "norms.csv")
     row = report.to_row()
-    write_csv(out, list(row.keys()), [list(row.values())])
+    write_csv(out, list(row), [row])
     print(f"{report.name} = {report.value:.17g}")
     return [out], {"value": report.value}
 
@@ -257,7 +253,10 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # the subcommand's parser refuses them, so its usage names its flags
+        parser.subcommands[args.subcommand].error(f"unrecognized arguments: {' '.join(unread)}")
     started = time.monotonic()
     try:
         config = _config_from_args(args)

@@ -11,7 +11,7 @@ ETDRK4 coefficients are evaluated from the phi functions with a Taylor
 fallback near z = 0, which is stable for the purely imaginary spectrum here.
 
 Steps and their tableau run on the band block (``spectral`` docstring) with the
-one nonlinear term to_physical -> square -> to_spectral(columns) -> multiply.  A
+one nonlinear term, -D times the square ``Grid2D.band_product(c)``.  A
 SolverState is projected onto the band once, when built; every term of a step vanishes
 off the band, so steps carry the block with no projection of their own, and ``evolve``
 hands each sampled state to its callback without building the full spectrum.
@@ -52,9 +52,7 @@ class SpectralKernel:
 
     def band_nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """-D P_B (u^2)^ on the band block, of any to_physical input: the one nonlinear term."""
-        vals = self.grid.to_physical(coeffs)
-        return np.multiply(self.band_neg_dmask,
-                           self.grid.to_spectral(vals * vals, self.grid.band_columns))
+        return np.multiply(self.band_neg_dmask, self.grid.band_product(coeffs))
 
     def phase(self, t, support=...) -> np.ndarray:
         """exp(i t omega) at the lattice points ``support`` indexes (all by default), shape

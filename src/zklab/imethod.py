@@ -2,9 +2,9 @@
 
 ``energy`` takes the dispersion form; every other functional here (modified
 energy, multilinear forms, scans, gwp) is written for the original form
-u_t + u_xxx + u_xyy + (u^2)_x = 0.  The discrete multilinear forms are the
-exact time derivatives of the discrete modified energy along the dealiased
-Galerkin flow:
+u_t + u_xxx + u_xyy + (u^2)_x = 0, named once as ``_FORM``.  The discrete
+multilinear forms are the exact time derivatives of the discrete modified energy
+along the dealiased Galerkin flow:
 
     d/dt E(I u) = Re[-i Lambda3(M3; I u) + i Lambda4(M4; I u)],
 
@@ -18,7 +18,7 @@ identity exact for the discrete flow up to time quadrature.  ``lambda3(fields,
 mult)`` and ``lambda4(fields, mult)`` evaluate these forms with m = m^s_N of
 ``mult``, on slots that hold I u.  Invariants and forms are read off the
 coefficients by discrete Parseval; only the factors of pointwise products are
-transformed (``_factored_forms``).
+transformed (``_factored_forms``), on the solver's kernel: omega, D and band_product.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import evolve
+from .dynamics import evolve, spectral_kernel
 from .errors import DataError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
@@ -41,6 +41,9 @@ __all__ = ["IMultiplier", "IncrementReport", "ScanResult", "GwpLedger",
            "increment_identity_check", "increment_scan", "gwp_iteration",
            "lambda_exponent", "horizon_exponent", "growth_exponent",
            "regularity_threshold"]
+
+
+_FORM = DispersionForm.ORIGINAL  # the form of the I-method's functionals; energy's default
 
 
 # -- the smoothing multiplier --------------------------------------------------
@@ -92,7 +95,7 @@ def mass(field: Field) -> float:
     return float(np.sum(vals * vals) * field.grid.cell_area)
 
 
-def energy(field: Field, form: DispersionForm = DispersionForm.ORIGINAL) -> float:
+def energy(field: Field, form: DispersionForm = _FORM) -> float:
     """E(u) = integral of |grad u|^2 / 2 - u^3 / 3; the symmetrized form's
     invariant has u_x^2 - u_x u_y + u_y^2 in place of |grad u|^2, because
     d_x^3 + d_y^3 = (d_x + d_y)(d_x^2 - d_x d_y + d_y^2).
@@ -123,7 +126,7 @@ def _band_sum(grid: Grid2D, x: np.ndarray) -> np.ndarray:
 
 def modified_energy(field: Field, mult: IMultiplier) -> float:
     """E(I_N u)."""
-    return energy(i_operator(field, mult))
+    return energy(i_operator(field, mult), _FORM)
 
 
 # -- multilinear forms ---------------------------------------------------------
@@ -158,17 +161,19 @@ def lambda4(fields, mult: IMultiplier) -> complex:
 def _factored_forms(mult: IMultiplier, grid: Grid2D):
     """Lambda3 and Lambda4 of field lists, and Im of both for a trajectory's frame block.
 
-    For W the coefficients of I u, V = W / m and the pair products S = (W_p W_p)^,
-    P = (V_p V_p)^ of physical samples, discrete Parseval gives Lambda3 = area sum
-    (dx_lap W) conj(S - m_band P) and Lambda4 = area sum (xi m_band P) conj(S) over the
-    lattice.  The symbols are real and odd, so the summands are anti-Hermitian: the forms
-    are imaginary and Im of a summand is even (``_band_sum``); W and m_band vanish off
+    For W the coefficients of I u, V = W / m and the dealiased pair products
+    S = (W_p W_p)^, P = (V_p V_p)^ (``Grid2D.band_product``), discrete Parseval gives
+    Lambda3 = area sum (omega W) conj(S - m_band P) and Lambda4 = area sum (D/i m_band P)
+    conj(S) over the lattice, with omega and the nonlinear derivative D read from the
+    solver's kernel.  The symbols are real and odd, so the summands are anti-Hermitian: the
+    forms are imaginary and Im of a summand is even (``_band_sum``); W and m_band vanish off
     the band, so the sums, S and P run on the band block.  The 2/3 gate of m_band is a
     no-op on the zero-sum hyperplane of M3 but discards pair products that would wrap.
     """
-    mask, msym = grid.dealias_mask, mult.symbol(grid)
-    dx_lap = grid.xi_grid * (grid.xi_grid ** 2 + grid.eta_grid ** 2)
-    m, dx_lap, m_band = (a[:, :grid.band_columns] for a in (msym, dx_lap, msym * mask))
+    mask, msym, product = grid.dealias_mask, mult.symbol(grid), grid.band_product
+    kernel = spectral_kernel(grid, _FORM)
+    m, omega, m_band = (a[:, :grid.band_columns] for a in (msym, kernel.omega, msym * mask))
+    d_band = -kernel.band_neg_dmask.imag  # D/i on the band, 0 off it
 
     def band_block(coeffs, what):  # full coefficients or a leading block of the half spectrum
         if np.any(coeffs[..., ~mask[:, :coeffs.shape[-1]]]):
@@ -176,15 +181,11 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
                             "2/3 dealias band; apply dealias() first")
         return coeffs[..., :grid.band_columns]
 
-    def pair(a, b):  # (a_p b_p)^ on the band block, transforming a once when b is a
-        ap = grid.to_physical(a)
-        return grid.to_spectral(ap * (ap if b is a else grid.to_physical(b)), grid.band_columns)
-
     def lambda3(w, s, p):
-        return _band_sum(grid, np.imag(dx_lap * w * np.conj(s - m_band * p)))
+        return _band_sum(grid, np.imag(omega * w * np.conj(s - m_band * p)))
 
     def lambda4(s, p):
-        return _band_sum(grid, np.imag(grid.xi_odd[:, None] * m_band * p * np.conj(s)))
+        return _band_sum(grid, np.imag(d_band * m_band * p * np.conj(s)))
 
     def inputs(fields, what):  # W and V of each slot, checked and divided once per field
         w = {id(f): band_block(f.coeffs, what) for f in fields}
@@ -193,16 +194,16 @@ def _factored_forms(mult: IMultiplier, grid: Grid2D):
 
     def m3_factored(fields):
         w, v = inputs(fields, "lambda3")
-        return complex(0.0, lambda3(w[0], pair(*w[1:]), pair(*v[1:])))
+        return complex(0.0, lambda3(w[0], product(*w[1:]), product(*v[1:])))
 
     def m4_factored(fields):
         w, v = inputs(fields, "lambda4")
-        return complex(0.0, lambda4(pair(*w[2:]), pair(*v[:2])))
+        return complex(0.0, lambda4(product(*w[2:]), product(*v[:2])))
 
     def frames(block):
         w = band_block(block, "increment_identity_check") * m
         v = w / m
-        s, p = pair(w, w), pair(v, v)
+        s, p = product(w), product(v)
         return lambda3(w, s, p), lambda4(s, p)
 
     return m3_factored, m4_factored, frames
@@ -251,8 +252,8 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
     rhs, scale, lambda3_integral, lambda4_integral = map(float, definite_integral(
         np.stack([integrand, np.abs(integrand), im3, im4], axis=-1), dt))
     end, start = block[[-1, 0], :, :grid.band_columns] * m
-    lhs = (_energy(grid, DispersionForm.ORIGINAL, end, grid.to_physical(end))
-           - _energy(grid, DispersionForm.ORIGINAL, start, grid.to_physical(start)))
+    lhs = (_energy(grid, _FORM, end, grid.to_physical(end))
+           - _energy(grid, _FORM, start, grid.to_physical(start)))
     denom = max(abs(lhs), scale, IncrementReport.FLOOR)
     return IncrementReport(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / denom, denominator=denom,
@@ -276,11 +277,9 @@ def increment_scan(u0: Field, s: float, n_list, delta: float, dt: float) -> Scan
     if len(set(n_list)) < 2:
         raise UsageError("need at least two distinct N values to fit a slope")
     mults = [IMultiplier(s, n) for n in n_list]
-    trajectory = evolve(u0, delta, dt, DispersionForm.ORIGINAL,
-                        sample_every=max(1, int(round(delta / dt))))
+    trajectory = evolve(u0, delta, dt, _FORM, sample_every=max(1, int(round(delta / dt))))
     first, last = trajectory.frame(0), trajectory.frame(-1)
-    rows = [(m.n, abs(modified_energy(last, m) - modified_energy(first, m)))
-            for m in mults]
+    rows = [(m.n, abs(modified_energy(last, m) - modified_energy(first, m))) for m in mults]
     logs = np.log([r[0] for r in rows])
     vals = np.log([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(logs, vals, 1)[0])
@@ -369,9 +368,7 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
     for k in range(max_windows):
         if t_now >= t_goal:
             break
-        trajectory = evolve(current, delta, dt, DispersionForm.ORIGINAL,
-                            sample_every=int(round(delta / dt)))
-        current = trajectory.frame(-1)
+        current = evolve(current, delta, dt, _FORM, sample_every=int(round(delta / dt))).frame(-1)
         t_now += delta
         e_next = modified_energy(current, mult)
         ledger.windows.append({"window": k, "t_end": t_now, "modified_energy": e_next,

@@ -427,7 +427,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
     stride = max(d for d in range(1, max(1, steps // 64) + 1) if steps % d == 0)
     dt = 2.0 * t_length / steps
 
-    def one(g: Grid2D, i: int) -> float:
+    def one(g: Grid2D, windows: int, i: int) -> float:  # the base rung runs on into 4T
         band = np.s_[:, :g.band_columns]
         weights = {n: shell_weight(g.abs_zeta, n)[band] for n in {n1, n2, n3}}
         # the three factors' band-block weights, transformed in one to_physical
@@ -436,7 +436,6 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         support = np.nonzero(np.any([weights[n] != 0 for n in weights], axis=0))
         u0 = Field(g, amplitude * np.sum([shell_field(g, n, seed + 3 * i + d).coeffs
                                           for d, n in enumerate((n1, n2, n3))], axis=0), "spectral")
-        windows = 2 if g is grid else 1  # the base grid runs on into the 4T window
         state = SolverState(u0, 0.0, dt, form)
         tableau = etdrk4_tableau(g, dt, form)
         integrand = np.empty(windows * steps + 1)
@@ -467,7 +466,7 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         return ratios[0]
 
     report = _ensemble_report(
-        "trilinear-form", one, (grid,), (_doubled(grid),), samples,
+        "trilinear-form", one, (grid, 2), (_doubled(grid), 1), samples,
         seed, {"n1": n1, "n2": n2, "n3": n3, "T": t_length, "regime": regime,
                "nx": grid.nx, "num_steps": num_steps, "samples": samples,
                "amplitude": amplitude},

@@ -11,7 +11,8 @@ Conventions fixed here and relied on everywhere else:
 * Transforms: ``Grid2D.to_physical`` / ``to_spectral``, ``irfft2`` / ``rfft2`` as two
   1-D passes that skip columns past a leading block, are the only 2-D ones.  Their
   spectral side must be Hermitian (``from_coefficients`` checks); a real odd symbol
-  makes it anti-Hermitian, hence ``1j * to_physical(-1j * symbol * c)``.
+  makes it anti-Hermitian, hence ``1j * to_physical(-1j * symbol * c)``.  On them sits
+  ``Grid2D.band_product``, the one dealiased product (the stepper's and the I-method's).
 * Quadrature: ``integral(u) = lx * ly * uhat[0, 0]`` and Parseval reads
   ``integral(|u|^2) = lx * ly * sum |uhat|^2``.
 * Nyquist rule: the index -n/2 has no partner +n/2, so every odd-order
@@ -155,6 +156,12 @@ class Grid2D:
         """Half-spectrum coefficients of real samples, or their first ``columns`` columns."""
         rows = np.fft.rfft(values, axis=-1, norm="forward")[..., :columns]
         return np.fft.fft(rows, axis=-2, norm="forward")
+
+    def band_product(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """(a_p b_p)^ on the band block of to_physical inputs; b = a (one transform) by default."""
+        ap = self.to_physical(a)
+        return self.to_spectral(ap * (ap if b is None or b is a else self.to_physical(b)),
+                                self.band_columns)
 
     def full_spectrum(self, half: np.ndarray) -> np.ndarray:
         """(..., nx, ny) Hermitian coefficients from their half spectrum or a leading block."""

@@ -184,7 +184,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in err
+        # the subcommand's own usage and error line, which name its flags
+        assert err.startswith(f"usage: zklab {argv[0]} ")
+        assert f"zklab {argv[0]}: error:" in err
 
     @pytest.mark.parametrize("name, key, value", [
         ("imethod-scan", "form", "symmetrized"), ("gwp", "form", "original"),

@@ -282,6 +282,13 @@ class TestSpectralKernel:
                          for c in coeffs.reshape(-1, nx, ny)]).reshape(shape)
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+        # the product of two distinct inputs, against the full-lattice product on the band
+        other = np.fft.fft2(rng.standard_normal(shape)) / (nx * ny)
+        got = grid.full_spectrum(grid.band_product(coeffs, other))[..., grid.dealias_mask]
+        n = nx * ny
+        want = (np.fft.fft2(np.real(np.fft.ifft2(coeffs)) * np.real(np.fft.ifft2(other)) * n)
+                [..., grid.dealias_mask])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
     def test_no_symbol_built_per_step(self, monkeypatch):
         counts = Counter()

@@ -40,6 +40,7 @@ from zklab import (
     regularity_threshold,
 )
 from zklab import DiagnosticsRecorder, DispersionForm, Grid2D, SpaceTimeField, dealias, derivative
+from zklab.dynamics import spectral_kernel
 from zklab.ic import random_band_limited
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
@@ -239,6 +240,33 @@ class TestLambdaForms:
         u = random_band_limited(G16, seed=5, amplitude=1.0)
         assert abs(lambda3([u, u, u], mult)) < 1e-13
         assert abs(direct_lambda([u, u, u], m3)) < 1e-13
+
+
+class TestFormsReadTheKernel:
+    """Lambda3's weight is the kernel's omega and Lambda4's its nonlinear derivative D:
+    doubling either symbol where the kernel is built doubles exactly one form."""
+
+    MULT = IMultiplier(0.8, 2.0)
+
+    @pytest.fixture(autouse=True)
+    def fresh_kernels(self):
+        spectral_kernel.cache_clear()
+        yield
+        spectral_kernel.cache_clear()
+
+    def forms(self):
+        a, b, c, d = (random_band_limited(G16, seed=30 + k, amplitude=0.7) for k in range(4))
+        return lambda3([a, b, c], self.MULT), lambda4([a, b, c, d], self.MULT)
+
+    @pytest.mark.parametrize("name, doubled", [("omega", 0), ("nonlinear_derivative", 1)])
+    def test_doubled_symbol_doubles_its_form(self, monkeypatch, name, doubled):
+        plain = self.forms()
+        original = getattr(DispersionForm, name)
+        monkeypatch.setattr(DispersionForm, name, lambda form, grid: 2.0 * original(form, grid))
+        spectral_kernel.cache_clear()
+        got = self.forms()
+        assert got[doubled] == 2.0 * plain[doubled] and got[1 - doubled] == plain[1 - doubled]
+        assert plain[doubled] != 0
 
 
 class TestIncrementIdentity:

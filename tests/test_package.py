@@ -81,16 +81,27 @@ def test_kernel_has_no_full_spectrum_nonlinear_multiplier():
 TRANSFORMS_2D = {"fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"}
 
 
-def test_only_spectral_calls_a_2d_transform():
-    """Grid2D.to_physical / to_spectral are the package's one 2-D transform pair."""
+def _named_outside_spectral(names):
+    """file:line name of each attribute or from-import of ``names`` outside ``spectral``."""
     package = pathlib.Path(zklab.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "spectral.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            names = ([node.attr] if isinstance(node, ast.Attribute)
-                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                     else [])
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in TRANSFORMS_2D]
-    assert found == []
+            used = ([node.attr] if isinstance(node, ast.Attribute)
+                    else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                    else [])
+            found += [f"{path.name}:{node.lineno} {n}" for n in used if n in names]
+    return found
+
+
+def test_only_spectral_calls_a_2d_transform():
+    """Grid2D.to_physical / to_spectral are the package's one 2-D transform pair."""
+    assert _named_outside_spectral(TRANSFORMS_2D) == []
+
+
+def test_only_spectral_calls_to_spectral():
+    """Outside ``spectral`` the forward transform runs only inside Grid2D.band_product,
+    the one dealiased product of the stepper and the I-method."""
+    assert _named_outside_spectral({"to_spectral"}) == []

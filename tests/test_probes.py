@@ -2,6 +2,7 @@
 deterministic cutoff decomposition.  Drift magnitudes on the frozen parameter
 sets are exercised by the acceptance suite."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from collections import Counter
@@ -313,6 +314,20 @@ def test_trilinear_window_doubling_runs_on_from_the_base_rung(monkeypatch):
                 "param_t_doubling_drift": 10.42783093427986}
     for key, value in recorded.items():
         assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+def test_trilinear_window_count_comes_from_the_rung(monkeypatch):
+    """A base grid that equals the caller's but is another object still runs on into
+    4T: the rung carries its window count, so the report is unchanged."""
+    args = (4.0, 1.0, 4.0, 1.0 / 16.0, G16)
+    want = trilinear_form_probe(*args, samples=1, num_steps=64)
+    original = probes._ensemble_report
+
+    def copied_base(estimate, one, base, *rest, **kwargs):
+        return original(estimate, one, (dataclasses.replace(base[0]), *base[1:]), *rest, **kwargs)
+
+    monkeypatch.setattr(probes, "_ensemble_report", copied_base)
+    assert trilinear_form_probe(*args, samples=1, num_steps=64) == want
 
 
 class TestTrilinearOnePath:
