@@ -15,7 +15,7 @@ import sys
 import time
 
 from .config import RunConfig, load_config
-from .dynamics import evolve
+from .dynamics import _states
 from .errors import (ConfigurationError, DataError, InstabilityError,
                      ResolutionError, UsageError)
 from .forms import DispersionForm
@@ -26,7 +26,7 @@ from .picard import picard_horizon, picard_iterate
 from . import probes
 from .reporting import (DiagnosticsRecorder, build_manifest, read_frame_csv,
                         write_csv, write_frame_csv, write_json)
-from .spectral import Grid2D
+from .spectral import Field, Grid2D
 
 __all__ = ["main"]
 
@@ -110,24 +110,24 @@ def _run_simulate(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     u0 = _initial(config, grid)
     form = DispersionForm.parse(config.form)
     recorder = DiagnosticsRecorder(form)
-    try:
-        traj = evolve(u0, config.t_final, config.dt, form,
-                      sample_every=config.sample_every, diagnostics=recorder)
-    except InstabilityError:
-        if recorder.rows:
-            write_csv(os.path.join(outdir, "diagnostics.csv"),
-                      DiagnosticsRecorder.HEADER, recorder.rows)
-        raise
     outputs = [os.path.join(outdir, "diagnostics.csv"),
                os.path.join(outdir, "frame_final.csv")]
-    write_csv(outputs[0], DiagnosticsRecorder.HEADER, recorder.rows)
-    write_frame_csv(outputs[1], traj.frame(-1))
-    if config.dump_frames:
-        for idx in range(traj.num_frames):
-            path = os.path.join(outdir, f"frame_{idx:05d}.csv")
-            write_frame_csv(path, traj.frame(idx))
-            outputs.append(path)
-    return outputs, {"num_frames": traj.num_frames}
+
+    def frame(state):
+        return Field(grid, grid.full_spectrum(state.band), "spectral")
+
+    try:  # rows and frames stream as sampled; an instability flushes the rows so far
+        for idx, state in enumerate(_states(u0, config.t_final, config.dt, form,
+                                            config.sample_every)):
+            recorder(state)
+            if config.dump_frames:
+                outputs.append(os.path.join(outdir, f"frame_{idx:05d}.csv"))
+                write_frame_csv(outputs[-1], frame(state))
+    finally:
+        if recorder.rows:
+            write_csv(outputs[0], DiagnosticsRecorder.HEADER, recorder.rows)
+    write_frame_csv(outputs[1], frame(state))
+    return outputs, {"num_frames": idx + 1}
 
 
 def _run_picard(config: RunConfig, outdir: str) -> tuple[list[str], dict]:

@@ -13,13 +13,16 @@ fallback near z = 0, which is stable for the purely imaginary spectrum here.
 Steps and their tableau run on the band block (``spectral`` docstring) with the
 one nonlinear term, -D times the square ``Grid2D.band_product(c)``.  A
 SolverState is projected onto the band once, when built; every term of a step vanishes
-off the band, so steps carry the block with no projection of their own, and ``evolve``
-hands each sampled state to its callback without building the full spectrum.
+off the band, so steps carry the block with no projection of their own.  The package
+steps in one loop, ``_states``, which yields each sampled state: ``evolve`` keeps their
+blocks, ``zklab simulate`` streams them and the trilinear probe reads every step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,6 +177,29 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     return out
 
 
+def _states(u0: Field, t_final: float, dt: float, form: DispersionForm, every: int = 1):
+    """The package's one stepping loop: yield the SolverState at t = 0 (u0 projected onto
+    the 2/3 band), then every ``every``-th stepped state up to ``t_final``, which must be a
+    whole number of steps and of strides.  The arguments are checked on the first ``next``."""
+    if not (0 <= t_final < math.inf and 0 < dt < math.inf):
+        raise UsageError(f"need finite t_final >= 0 and dt > 0, got t_final = {t_final}, dt = {dt}")
+    if not isinstance(every, numbers.Integral) or every < 1:
+        raise UsageError("sample_every must be a positive integer")
+    n_steps = round(t_final / dt)
+    if t_final != 0 and (abs(n_steps * dt - t_final) > 1e-8 * max(dt, t_final) or n_steps == 0):
+        raise UsageError(f"t_final = {t_final} is not a whole number of steps of dt = {dt}")
+    if n_steps % every != 0:
+        raise UsageError("t_final / dt must be divisible by sample_every")
+    state = SolverState(u0, 0.0, dt, form)
+    yield state
+    tab = etdrk4_tableau(u0.grid, dt, form) if n_steps else None
+    for k in range(1, n_steps + 1):
+        # hold the previous state a step longer, else glibc trims the heap and faults it back
+        prev, state = state, step_etdrk4(state, tab)
+        if k % every == 0:
+            yield state
+
+
 def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
            sample_every: int = 1, diagnostics=None):
     """Evolve from u0 and return the sampled trajectory.
@@ -186,29 +212,11 @@ def evolve(u0: Field, t_final: float, dt: float, form: DispersionForm,
     """
     from .trajectory import SpaceTimeField
 
-    grid = u0.grid
-    if not (0 <= t_final < math.inf and 0 < dt < math.inf):
-        raise UsageError(f"need finite t_final >= 0 and dt > 0, got t_final = {t_final}, dt = {dt}")
-    if sample_every < 1:
-        raise UsageError("sample_every must be a positive integer")
-    n_steps = int(round(t_final / dt)) if t_final != 0 else 0
-    if t_final != 0 and (abs(n_steps * dt - t_final) > 1e-8 * max(dt, t_final) or n_steps == 0):
-        raise UsageError(f"t_final = {t_final} is not a whole number of steps of dt = {dt}")
-    if n_steps % sample_every != 0:
-        raise UsageError("t_final / dt must be divisible by sample_every")
-
-    state = SolverState(u0, 0.0, dt, form)
-    frames = np.empty((n_steps // sample_every + 1,) + state.band.shape, dtype=np.complex128)
-    frames[0] = state.band
-    if diagnostics is not None:
-        diagnostics(state)
-    if n_steps:
-        tab = etdrk4_tableau(grid, dt, form)
-        for k in range(1, n_steps + 1):
-            # hold the previous state a step longer, else glibc trims the heap and faults it back
-            prev, state = state, step_etdrk4(state, tab)
-            if k % sample_every == 0:
-                frames[k // sample_every] = state.band
-                if diagnostics is not None:
-                    diagnostics(state)
-    return SpaceTimeField(grid, 0.0, dt * sample_every, frames)
+    states = _states(u0, t_final, dt, form, sample_every)
+    first = next(states)  # the arguments are checked, so the frame count is known
+    frames = np.empty((round(t_final / dt) // sample_every + 1, *first.band.shape), complex)
+    for k, state in enumerate(itertools.chain([first], states)):
+        frames[k] = state.band
+        if diagnostics is not None:
+            diagnostics(state)
+    return SpaceTimeField(u0.grid, 0.0, dt * sample_every, frames)

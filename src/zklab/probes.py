@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bumps import chi
-from .dynamics import SolverState, etdrk4_tableau, spectral_kernel, step_etdrk4
+from .dynamics import _states, spectral_kernel
 from .errors import ResolutionError, UsageError
 from .forms import DispersionForm
 from .ic import random_band_limited, shell_field
@@ -436,21 +436,13 @@ def trilinear_form_probe(n1: float, n2: float, n3: float, t_length: float,
         support = np.nonzero(np.any([weights[n] != 0 for n in weights], axis=0))
         u0 = Field(g, amplitude * np.sum([shell_field(g, n, seed + 3 * i + d).coeffs
                                           for d, n in enumerate((n1, n2, n3))], axis=0), "spectral")
-        state = SolverState(u0, 0.0, dt, form)
-        tableau = etdrk4_tableau(g, dt, form)
         integrand = np.empty(windows * steps + 1)
         kept, ratios = [], []
-
-        def record(st: SolverState):
+        for st in _states(u0, windows * steps * dt, dt, form):
             a, b, d = g.to_physical(st.band * factors)
             integrand[st.steps] = np.sum(a * b * d) * g.cell_area
             if st.steps % stride == 0:
                 kept.append(st.band[support])  # the three shells' modes only
-
-        record(state)
-        for _ in range(windows * steps):
-            state = step_etdrk4(state, tableau)
-            record(state)
         for w in range(1, windows + 1):  # the window 2 w T, with frames every w * stride
             times = dt * np.arange(w * steps + 1)
             form_val = abs(definite_integral(chi(times / (w * t_length))

@@ -4,14 +4,15 @@ import argparse
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zklab import (DispersionForm, besov_norm_2_1, energy, format_value, l4_probe,
+from zklab import (DispersionForm, besov_norm_2_1, energy, evolve, format_value, l4_probe,
                    lebesgue_norm, make_grid, random_band_limited, sobolev_norm,
                    trilinear_form_probe, write_frame_csv)
-from zklab.cli import _parser, main
+from zklab.cli import _grid, _initial, _parser, main
 from zklab.config import RunConfig
 from zklab.reporting import read_frame_csv, write_csv
 
@@ -70,6 +71,38 @@ class TestSimulate:
             "--T", "0.002", "--dt", "0.001", "--dump-frames")
         assert (tmp_path / "frame_00000.csv").exists()
         assert (tmp_path / "frame_00002.csv").exists()
+        # frames written as they are sampled are byte for byte evolve's, in both forms,
+        # and frame_final.csv is the last of them
+        config = RunConfig(nx=16, preset="random", seed=3, kmax=4.0, amplitude=0.2)
+        for form in ("original", "symmetrized"):
+            out = tmp_path / form
+            traj = evolve(_initial(config, _grid(config)), 0.005, 0.001,
+                          DispersionForm.parse(form), sample_every=1)
+            assert run(out, "simulate", "--nx", "16", "--form", form, "--preset", "random",
+                       "--seed", "3", "--kmax", "4", "--amplitude", "0.2", "--T", "0.005",
+                       "--dt", "0.001", "--sample-every", "1", "--dump-frames") == 0
+            assert len(list(out.glob("frame_0*.csv"))) == traj.num_frames
+            for idx in range(traj.num_frames):
+                write_frame_csv(str(tmp_path / "expected.csv"), traj.frame(idx))
+                dumped = (out / f"frame_{idx:05d}.csv").read_bytes()
+                assert dumped == (tmp_path / "expected.csv").read_bytes(), (form, idx)
+            assert (out / "frame_final.csv").read_bytes() == dumped
+
+    def test_memory_does_not_grow_with_the_sampled_frames(self, tmp_path):
+        """States stream through simulate: sampling every step of 250 peaks within 1 MiB
+        of sampling two of them."""
+        peaks = []
+        for every in ("1", "125"):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--nx", "64", "--preset", "random", "--seed", "3",
+                             "--kmax", "6", "--amplitude", "0.3", "--T", "0.25",
+                             "--dt", "0.001", "--sample-every", every,
+                             "--output-dir", str(tmp_path / every)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 2 ** 20, peaks
 
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["simulate", "--nx", "16", "--preset", "random",
@@ -129,11 +162,13 @@ class TestExitCodes:
 
     def test_overflowing_data_keep_a_finite_l2(self, tmp_path, capsys):
         """Squares of 1e200 overflow the mass column; the l2 column is the
-        finite norm the instability message reports."""
+        finite norm the instability message reports.  The frame sampled before
+        the blow-up is left on disk."""
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(tmp_path, "simulate", "--nx", "16", "--T", "0.002",
-                       "--dt", "0.001", "--amplitude", "1e200")
+                       "--dt", "0.001", "--amplitude", "1e200", "--dump-frames")
         assert code == 3
+        assert [p.name for p in tmp_path.glob("frame_*.csv")] == ["frame_00000.csv"]
         reported = float(capsys.readouterr().err.split("'l2': ")[1].split("}")[0])
         with open(tmp_path / "diagnostics.csv", newline="") as fh:
             (row,) = list(csv.DictReader(fh))

@@ -179,6 +179,12 @@ class TestFailureModes:
     def test_stride_mismatch(self):
         with pytest.raises(UsageError):
             evolve(smooth_data(G), 0.01, 1e-3, DispersionForm.ORIGINAL, sample_every=3)
+        for every in (2.5, 2.0):  # refused as a stride, not by numpy's frame allocation
+            with pytest.raises(UsageError, match="sample_every must be a positive integer"):
+                evolve(smooth_data(G), 0.01, 1e-3, DispersionForm.ORIGINAL, sample_every=every)
+        traj = evolve(smooth_data(G), 0.01, 1e-3, DispersionForm.ORIGINAL,
+                      sample_every=np.int64(2))
+        assert traj.num_frames == 6
 
     def test_blowup_reports_diagnostics(self):
         u = make_field(G, 80.0 * np.cos(G.x[:, None] + 0.0 * G.y[None, :]))

@@ -81,12 +81,12 @@ def test_kernel_has_no_full_spectrum_nonlinear_multiplier():
 TRANSFORMS_2D = {"fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"}
 
 
-def _named_outside_spectral(names):
-    """file:line name of each attribute or from-import of ``names`` outside ``spectral``."""
+def _named_outside(home, names):
+    """file:line name of each attribute or from-import of ``names`` outside module ``home``."""
     package = pathlib.Path(zklab.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "spectral.py":
+        if path.name == f"{home}.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             used = ([node.attr] if isinstance(node, ast.Attribute)
@@ -98,10 +98,17 @@ def _named_outside_spectral(names):
 
 def test_only_spectral_calls_a_2d_transform():
     """Grid2D.to_physical / to_spectral are the package's one 2-D transform pair."""
-    assert _named_outside_spectral(TRANSFORMS_2D) == []
+    assert _named_outside("spectral", TRANSFORMS_2D) == []
 
 
 def test_only_spectral_calls_to_spectral():
     """Outside ``spectral`` the forward transform runs only inside Grid2D.band_product,
     the one dealiased product of the stepper and the I-method."""
-    assert _named_outside_spectral({"to_spectral"}) == []
+    assert _named_outside("spectral", {"to_spectral"}) == []
+
+
+def test_only_dynamics_steps():
+    """``dynamics._states`` is the package's one stepping loop: the stepper and its
+    tableau are named nowhere else but in ``__init__``'s re-export."""
+    found = _named_outside("dynamics", {"step_etdrk4", "etdrk4_tableau"})
+    assert [f for f in found if not f.startswith("__init__.py:")] == []

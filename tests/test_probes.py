@@ -29,8 +29,8 @@ from zklab import (
 )
 from hypothesis import given, settings, strategies as st
 
-from zklab import probes
-from zklab.dynamics import spectral_kernel
+from zklab import dynamics, probes
+from zklab.dynamics import SolverState, spectral_kernel
 from zklab.ic import random_band_limited, shell_field
 from zklab.norms import mixed_lebesgue_norm
 from zklab.probes import _frame_times, _free_block
@@ -300,13 +300,13 @@ def test_trilinear_window_doubling_runs_on_from_the_base_rung(monkeypatch):
     rung steps on into the doubled window instead of stepping it again from u0; the
     report is the one recorded with the three rungs stepped separately."""
     steps = Counter()
-    original = probes.step_etdrk4
+    original = dynamics.step_etdrk4
 
     def counting(state, tableau):
         steps[state.grid.nx] += 1
         return original(state, tableau)
 
-    monkeypatch.setattr(probes, "step_etdrk4", counting)
+    monkeypatch.setattr(dynamics, "step_etdrk4", counting)
     row = trilinear_form_probe(8.0, 2.0, 8.0, 0.125, G, samples=1, seed=0).to_row()
     assert steps == {32: 768, 64: 384}
     recorded = {"lhs": 1990.4415404449583, "drift": 3.1698070778460137,
@@ -342,12 +342,12 @@ class TestTrilinearOnePath:
     ], ids=["num_steps=64", "auto-64/64", "auto-384/768"])
     def test_one_trajectory_per_grid_per_sample(self, monkeypatch, args, kwargs, steps):
         states, tableaux, stepped = Counter(), [], Counter()
-        original_state, original_tableau = probes.SolverState, probes.etdrk4_tableau
-        original_step = probes.step_etdrk4
+        original_state, original_tableau = SolverState.__init__, dynamics.etdrk4_tableau
+        original_step = dynamics.step_etdrk4
 
-        def counting_state(u0, t, dt, form):
+        def counting_state(self, u0, t, dt, form):
             states[u0.grid.nx] += 1
-            return original_state(u0, t, dt, form)
+            original_state(self, u0, t, dt, form)
 
         def counting_tableau(g, dt, form):
             tableaux.append((g.nx, dt))
@@ -357,9 +357,9 @@ class TestTrilinearOnePath:
             stepped[state.grid.nx] += 1
             return original_step(state, tableau)
 
-        monkeypatch.setattr(probes, "SolverState", counting_state)
-        monkeypatch.setattr(probes, "etdrk4_tableau", counting_tableau)
-        monkeypatch.setattr(probes, "step_etdrk4", counting_step)
+        monkeypatch.setattr(SolverState, "__init__", counting_state)
+        monkeypatch.setattr(dynamics, "etdrk4_tableau", counting_tableau)
+        monkeypatch.setattr(dynamics, "step_etdrk4", counting_step)
         trilinear_form_probe(*args, seed=0, **kwargs)
         samples, nx, t_length = kwargs["samples"], args[-1].nx, args[3]
         assert states == {nx: samples, 2 * nx: samples}
