@@ -120,6 +120,8 @@ def _coerce(key: str, value, target_type):
             if text in ("false", "0", "no"):
                 return False
             raise ValueError(value)
+        if isinstance(value, bool) or target_type is int and isinstance(value, float) and value % 1:
+            raise ValueError(value)  # int() and float() take True, and int() truncates 2.5
         return target_type(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
@@ -165,10 +167,8 @@ def _validate(config: RunConfig, explicit: set) -> None:
             if isinstance(v, float) and (math.isnan(v) or (
                     math.isinf(v) and key not in _INFINITE_KEYS)):
                 raise ConfigurationError(f"config key {key!r}: must be finite, got {v}")
-    for key in ("nx",):
-        if getattr(config, key) < 8:
-            raise ConfigurationError(f"config key {key!r}: need at least 8, "
-                                     f"got {getattr(config, key)}")
+    if config.nx < 8:
+        raise ConfigurationError(f"config key 'nx': need at least 8, got {config.nx}")
     for key in _POSITIVE_KEYS:
         val = getattr(config, key)
         if key in explicit and val <= 0:
@@ -180,10 +180,9 @@ def _validate(config: RunConfig, explicit: set) -> None:
     if config.form not in ("original", "symmetrized"):
         raise ConfigurationError(
             f"config key 'form': must be 'original' or 'symmetrized', got {config.form!r}")
-    if config.sample_every < 1:
-        raise ConfigurationError("config key 'sample_every': must be >= 1")
-    if config.samples < 1:
-        raise ConfigurationError("config key 'samples': must be >= 1")
+    for key in ("sample_every", "samples"):
+        if getattr(config, key) < 1:
+            raise ConfigurationError(f"config key {key!r}: must be >= 1")
     for key in sorted(_LIST_KEYS):
         if not getattr(config, key):
             raise ConfigurationError(f"config key {key!r}: must not be empty")

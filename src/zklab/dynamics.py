@@ -15,7 +15,7 @@ one nonlinear term, -D times the square ``Grid2D.band_product(c)``.  A
 SolverState is projected onto the band once, when built; every term of a step vanishes
 off the band, so steps carry the block with no projection of their own.  The package
 steps in one loop, ``_states``, which yields each sampled state: ``evolve`` keeps their
-blocks, ``zklab simulate`` streams them and the trilinear probe reads every step.
+blocks, ``zklab simulate`` streams them, the trilinear probe and the I-method read them.
 """
 
 from __future__ import annotations

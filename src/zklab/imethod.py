@@ -19,6 +19,7 @@ mult)`` and ``lambda4(fields, mult)`` evaluate these forms with m = m^s_N of
 ``mult``, on slots that hold I u.  Invariants and forms are read off the
 coefficients by discrete Parseval; only the factors of pointwise products are
 transformed (``_factored_forms``), on the solver's kernel: omega, D and band_product.
+E(I u) is read in one place, ``_i_energy``; scans and gwp step in ``dynamics._states``.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import evolve, spectral_kernel
+from .dynamics import _states, spectral_kernel
 from .errors import DataError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
 from .quadrature import definite_integral
 from .scaling import rescale
-from .spectral import Field, Grid2D, dealias
+from .spectral import Field, Grid2D
 from .trajectory import SpaceTimeField
 
 __all__ = ["IMultiplier", "IncrementReport", "ScanResult", "GwpLedger",
@@ -106,16 +107,16 @@ def energy(field: Field, form: DispersionForm = _FORM) -> float:
     |uhat|^2 (Parseval) and the cubic term takes one transform.
     """
     u = field.coeffs * field.grid.dealias_mask
-    return _energy(field.grid, form, u, field.grid.to_physical(u))
+    return float(_energy(field.grid, form, u, field.grid.to_physical(u)))
 
 
-def _energy(grid: Grid2D, form: DispersionForm, coeffs: np.ndarray, vals: np.ndarray) -> float:
-    """E of in-band coefficients whose physical samples are ``vals``."""
+def _energy(grid: Grid2D, form: DispersionForm, coeffs: np.ndarray, vals: np.ndarray):
+    """E of in-band coefficients whose physical samples are ``vals``, per leading frame."""
     xi, eta = grid.xi_odd[:, None], grid.eta_odd[:grid.band_columns]
     gradient = xi * xi + eta * eta - (xi * eta if form is DispersionForm.SYMMETRIZED else 0.0)
     block = coeffs[..., :grid.band_columns]
-    return float(0.5 * _band_sum(grid, gradient * (block.real ** 2 + block.imag ** 2))
-                 - np.sum(vals * vals * vals) * grid.cell_area / 3.0)
+    return (0.5 * _band_sum(grid, gradient * (block.real ** 2 + block.imag ** 2))
+            - np.sum(vals * vals * vals, axis=(-2, -1)) * grid.cell_area / 3.0)
 
 
 def _band_sum(grid: Grid2D, x: np.ndarray) -> np.ndarray:
@@ -126,7 +127,13 @@ def _band_sum(grid: Grid2D, x: np.ndarray) -> np.ndarray:
 
 def modified_energy(field: Field, mult: IMultiplier) -> float:
     """E(I_N u)."""
-    return energy(i_operator(field, mult), _FORM)
+    return float(_i_energy(field.grid, field.coeffs[:, :field.grid.band_columns], mult))
+
+
+def _i_energy(grid: Grid2D, block: np.ndarray, mult: IMultiplier) -> np.ndarray:
+    """Per-frame E(I_N u) of the 2/3 projection of ``block`` (band_columns wide): one transform."""
+    w = block * (mult.symbol(grid) * grid.dealias_mask)[:, :grid.band_columns]
+    return _energy(grid, _FORM, w, grid.to_physical(w))
 
 
 # -- multilinear forms ---------------------------------------------------------
@@ -244,16 +251,14 @@ def increment_identity_check(trajectory: SpaceTimeField, mult: IMultiplier) -> I
     if trajectory.num_frames < 5:
         raise UsageError("increment check needs at least 5 frames")
     grid, block, dt = trajectory.grid, trajectory.block, trajectory.dt
-    frame_forms, m = _factored_forms(mult, grid)[2], mult.symbol(grid)[:, :grid.band_columns]
+    frame_forms = _factored_forms(mult, grid)[2]
     frames = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny))
     im3, im4 = np.concatenate([frame_forms(block[k:k + frames]) for k in
                                range(0, trajectory.num_frames, frames)], axis=-1)
     integrand = im3 - im4
     rhs, scale, lambda3_integral, lambda4_integral = map(float, definite_integral(
         np.stack([integrand, np.abs(integrand), im3, im4], axis=-1), dt))
-    end, start = block[[-1, 0], :, :grid.band_columns] * m
-    lhs = (_energy(grid, _FORM, end, grid.to_physical(end))
-           - _energy(grid, _FORM, start, grid.to_physical(start)))
+    lhs = float(np.subtract(*_i_energy(grid, block[[-1, 0], :, :grid.band_columns], mult)))
     denom = max(abs(lhs), scale, IncrementReport.FLOOR)
     return IncrementReport(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / denom, denominator=denom,
@@ -271,17 +276,23 @@ class ScanResult:
                    "empirical diagnostic, not the dispersive-estimate rate")
 
 
+def _windows(u0: Field, delta: float, dt: float, count: int):
+    """``_states`` at t = 0 and after each of ``count`` windows, each a whole number of dt steps."""
+    steps = round(delta / dt) if 0 < dt < np.inf and 0 < delta / dt < 2 ** 53 else 0
+    if steps < 1 or abs(steps * dt - delta) > 1e-8 * max(dt, delta):
+        raise UsageError(f"delta = {delta} must be a whole number of steps of dt = {dt}")
+    return _states(u0, count * delta, dt, _FORM, every=steps)
+
+
 def increment_scan(u0: Field, s: float, n_list, delta: float, dt: float) -> ScanResult:
     """|E(I_N u)(delta) - E(I_N u)(0)| over a ladder of N, with log-log slope."""
     n_list = sorted(float(n) for n in n_list)
     if len(set(n_list)) < 2:
         raise UsageError("need at least two distinct N values to fit a slope")
     mults = [IMultiplier(s, n) for n in n_list]
-    trajectory = evolve(u0, delta, dt, _FORM, sample_every=max(1, int(round(delta / dt))))
-    first, last = trajectory.frame(0), trajectory.frame(-1)
-    rows = [(m.n, abs(modified_energy(last, m) - modified_energy(first, m))) for m in mults]
-    logs = np.log([r[0] for r in rows])
-    vals = np.log([max(r[1], 1e-300) for r in rows])
+    ends = np.stack([state.band for state in _windows(u0, delta, dt, 1)])
+    rows = [(m.n, float(abs(np.subtract(*_i_energy(u0.grid, ends, m))))) for m in mults]
+    logs, vals = np.log(np.maximum(rows, 1e-300)).T
     slope = float(np.polyfit(logs, vals, 1)[0])
     return ScanResult(s=s, delta=delta, rows=tuple(rows), slope=slope)
 
@@ -360,17 +371,16 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
                        exponents={"lambda": lambda_exponent(s),
                                   "horizon": horizon_exponent(s) if s > 11.0 / 13.0 else None,
                                   "growth": growth_exponent(s) if s > 11.0 / 13.0 else None})
-    current = dealias(rescale(u0, lam))
+    energies = ((state, float(_i_energy(state.grid, state.band, mult)))
+                for state in _windows(rescale(u0, lam), delta, dt, max_windows))
+    current, e_now = next(energies)
     ledger.hs_initial = sobolev_norm(u0, s)
-    e_now = modified_energy(current, mult)
-    t_goal = t_target / lam ** 3
-    t_now = 0.0
+    t_goal, t_now = t_target / lam ** 3, 0.0
     for k in range(max_windows):
         if t_now >= t_goal:
             break
-        current = evolve(current, delta, dt, _FORM, sample_every=int(round(delta / dt))).frame(-1)
+        current, e_next = next(energies)
         t_now += delta
-        e_next = modified_energy(current, mult)
         ledger.windows.append({"window": k, "t_end": t_now, "modified_energy": e_next,
                                "increment": e_next - e_now})
         e_now = e_next
@@ -379,7 +389,8 @@ def gwp_iteration(u0: Field, s: float, t_target: float, delta: float = 0.1,
             break
     if ledger.status == "running":
         ledger.status = "completed" if t_now >= t_goal else "exhausted"
-    unscaled = rescale(current, 1.0 / lam)
+    grid = current.grid
+    unscaled = rescale(Field(grid, grid.full_spectrum(current.band), "spectral"), 1.0 / lam)
     ledger.hs_final = sobolev_norm(unscaled, s)
     ledger.growth_factor = ledger.hs_final / max(ledger.hs_initial, 1e-300)
     return ledger

@@ -185,5 +185,5 @@ class DiagnosticsRecorder:
         vals = grid.to_physical(state.band)
         m = mass(Field(grid, vals, "physical"))
         l2 = math.sqrt(m) if math.isfinite(m) else scaled_l2(vals, grid.cell_area)
-        self.rows.append((state.t, m, _energy(grid, self.form, state.band, vals), l2,
+        self.rows.append((state.t, m, float(_energy(grid, self.form, state.band, vals)), l2,
                           float(np.max(np.abs(vals)))))

@@ -236,6 +236,27 @@ class TestExitCodes:
         assert f"{key!r}" in err and name in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_every", 2.5), ("nx", 16.7), ("sample_every", True), ("dt", True)])
+    def test_truncated_or_boolean_config_number_is_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["simulate", "--config", str(cfg), "--T", "0.004",
+                     "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"{key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["imethod-scan", "gwp"])
+    def test_partial_step_window_is_2(self, tmp_path, capsys, name):
+        code = run(tmp_path, name, "--nx", "16", "--preset", "random", "--amplitude", "0.3",
+                   "--s", "0.95", "--delta", "0.0015", "--dt", "0.001",
+                   *(["--max-windows", "4"] if name == "gwp" else []))
+        assert code == 2
+        assert "delta = 0.0015 must be a whole number of steps of dt = 0.001" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_unknown_key_in_config_file_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"wavenumber": 3}))

@@ -63,6 +63,18 @@ class TestCoercion:
         with pytest.raises(ConfigurationError):
             load_config(overrides={"n_list": "4,eight"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_every", 2.5), ("nx", 16.7), ("sample_every", True), ("seed", False),
+        ("dt", True), ("amplitude", False)])
+    def test_no_truncated_or_boolean_number(self, key, value):
+        """An int key takes no fraction and no key a boolean: int(2.5) is 2, int(True) 1."""
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(overrides={key: value})
+
+    def test_whole_float_is_an_int(self):
+        cfg = load_config(overrides={"sample_every": 2.0, "nx": 32.0})
+        assert (cfg.sample_every, cfg.nx) == (2, 32) and type(cfg.sample_every) is int
+
 
 class TestValidation:
     def test_unknown_key_named(self):

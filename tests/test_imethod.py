@@ -40,11 +40,15 @@ from zklab import (
     regularity_threshold,
 )
 from zklab import DiagnosticsRecorder, DispersionForm, Grid2D, SpaceTimeField, dealias, derivative
-from zklab.dynamics import spectral_kernel
+from zklab.dynamics import SolverState, spectral_kernel
 from zklab.ic import random_band_limited
+from zklab.norms import sobolev_norm
+from zklab.scaling import rescale
 
 G = make_grid(32, 32, 2 * np.pi, 2 * np.pi)
 G16 = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
+# (delta, dt) that are not a whole number of steps: 1.5 steps, and 0.4, which rounds to none
+PARTIAL_WINDOWS = [(0.0015, 1e-3), (0.0004, 1e-3)]
 
 
 def mode(g, jx, jy, amp=1.0):
@@ -351,7 +355,7 @@ class TestIncrementIdentity:
                 monkeypatch.setattr(zklab.imethod, "_BLOCK_BYTES", budget)
             calls.clear()
             reports[budget] = increment_identity_check(traj, mult)
-            assert len(calls) == 2 * blocks + 2  # W and V per block, two end-point energies
+            assert len(calls) == 2 * blocks + 1  # W and V per block, both end-point energies
         assert traj.num_frames == 150
         assert reports[1] == reports[None] and reports[1 << 30] == reports[None]
         assert np.isfinite(reports[None].residual) and reports[None].residual < 1e-2
@@ -510,12 +514,25 @@ class TestIncrementScan:
 
     def test_bad_multiplier_raises_before_stepping(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("evolve ran before the multipliers were checked")
+            raise AssertionError("stepped before the multipliers were checked")
 
-        monkeypatch.setattr(zklab.imethod, "evolve", fail)
+        monkeypatch.setattr(zklab.imethod, "_states", fail)
         for s, n_list in ((1.5, (4.0, 8.0)), (0.9, (0.0, 4.0))):
             with pytest.raises(UsageError):
                 increment_scan(mode(G16, 1, 0), s, n_list, delta=0.01, dt=1e-3)
+
+    def test_rows_equal_the_energies_of_evolve_s_end_frames(self):
+        u0 = random_band_limited(G, seed=5, kmax=6.0, amplitude=0.5)
+        res = increment_scan(u0, 0.9, (4.0, 8.0, 16.0), delta=0.02, dt=1e-3)
+        traj = evolve(u0, 0.02, 1e-3, DispersionForm.ORIGINAL, sample_every=20)
+        assert res.rows == tuple(
+            (n, abs(modified_energy(traj.frame(-1), m) - modified_energy(traj.frame(0), m)))
+            for n, m in ((n, IMultiplier(0.9, n)) for n in (4.0, 8.0, 16.0)))
+
+    @pytest.mark.parametrize("delta, dt", PARTIAL_WINDOWS)
+    def test_delta_is_a_whole_number_of_steps(self, delta, dt):
+        with pytest.raises(UsageError, match=rf"delta = {delta} .* dt = {dt}"):
+            increment_scan(mode(G16, 1, 0), 0.9, (4.0, 8.0), delta=delta, dt=dt)
 
 
 class TestExponents:
@@ -573,3 +590,53 @@ class TestGwpIteration:
                                dt=1e-3, n=4.0, max_windows=4)
         assert ledger.status == "completed"
         assert ledger.exponents["horizon"] is None
+
+    @pytest.mark.parametrize("delta, dt", PARTIAL_WINDOWS)
+    def test_delta_is_a_whole_number_of_steps(self, delta, dt):
+        """A single stepping loop runs every window, so a partial step is refused up front
+        rather than stretching each window to a whole step."""
+        with pytest.raises(UsageError, match=rf"delta = {delta} .* dt = {dt}"):
+            gwp_iteration(mode(G16, 1, 0, amp=0.1), 0.95, t_target=0.05, delta=delta, dt=dt,
+                          max_windows=4)
+
+    def test_one_solver_state_and_tableau_per_run(self, monkeypatch):
+        """The windows are read off one stepping loop, not restarted per window."""
+        built = {"tableau": 0, "state": 0}
+        tableau, state_init = zklab.dynamics.etdrk4_tableau, SolverState.__init__
+
+        def counting_tableau(*args):
+            built["tableau"] += 1
+            return tableau(*args)
+
+        def counting_state(self, *args, **kwargs):
+            built["state"] += 1
+            state_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(zklab.dynamics, "etdrk4_tableau", counting_tableau)
+        monkeypatch.setattr(SolverState, "__init__", counting_state)
+        u0 = random_band_limited(G16, seed=0, amplitude=0.3)
+        ledger = gwp_iteration(u0, 0.95, t_target=0.02, delta=0.01, dt=1e-3, max_windows=3)
+        assert ledger.status == "exhausted" and len(ledger.windows) == 3
+        assert built == {"tableau": 1, "state": 1}
+
+    def test_ledger_equals_a_restart_per_window(self):
+        """Windows read off one loop give, value for value, the ledger of restarting
+        evolve from each window's last frame."""
+        u0 = random_band_limited(G16, seed=6, kmax=3.0, norm="sobolev",
+                                 norm_s=1.0, amplitude=0.5)
+        ledger = gwp_iteration(u0, 0.95, t_target=0.05, delta=0.01, dt=1e-3, max_windows=4)
+        mult = IMultiplier(0.95, ledger.n)
+        current = dealias(rescale(u0, ledger.lam))
+        e_now, t_now, windows = modified_energy(current, mult), 0.0, []
+        for k in range(len(ledger.windows)):
+            current = evolve(current, 0.01, 1e-3, DispersionForm.ORIGINAL,
+                             sample_every=10).frame(-1)
+            t_now += 0.01
+            e_next = modified_energy(current, mult)
+            windows.append({"window": k, "t_end": t_now, "modified_energy": e_next,
+                            "increment": e_next - e_now})
+            e_now = e_next
+        assert len(windows) >= 2
+        assert ledger.windows == windows
+        assert ledger.hs_final == sobolev_norm(rescale(current, 1.0 / ledger.lam), 0.95)
+        assert ledger.hs_initial == sobolev_norm(u0, 0.95)

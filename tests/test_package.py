@@ -108,7 +108,7 @@ def test_only_spectral_calls_to_spectral():
 
 
 def test_only_dynamics_steps():
-    """``dynamics._states`` is the package's one stepping loop: the stepper and its
-    tableau are named nowhere else but in ``__init__``'s re-export."""
-    found = _named_outside("dynamics", {"step_etdrk4", "etdrk4_tableau"})
+    """``dynamics._states`` is the package's one stepping loop: the stepper, its
+    tableau and ``evolve`` are named nowhere else but in ``__init__``'s re-export."""
+    found = _named_outside("dynamics", {"step_etdrk4", "etdrk4_tableau", "evolve"})
     assert [f for f in found if not f.startswith("__init__.py:")] == []
