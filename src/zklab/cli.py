@@ -38,7 +38,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     defaults = RunConfig()
     choices = {"form": [f.value for f in DispersionForm],
-               "estimate": [*_PROBES, "cutoff"], "norm_name": list(_NORMS)}
+               "estimate": list(_PROBES), "norm_name": list(_NORMS)}
     for name, (_, summary, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat-key JSON config file")
@@ -59,11 +59,18 @@ def _flags(subcommand: str) -> dict:
     return {flag: key or flag.replace("-", "_") for flag, _, key in specs}
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> tuple[RunConfig, tuple]:
+    """The run's config and the keys it reads: its subcommand's, or a probe's estimate's."""
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("config", "subcommand") and v is not None}
-    return load_config(args.config, overrides, args.subcommand,
-                       _flags(args.subcommand).values())
+    keys = tuple(_flags(args.subcommand).values())
+    config = load_config(args.config, overrides, args.subcommand, keys)
+    if args.subcommand == "probe":  # a second pass, once the first has resolved the estimate
+        if config.estimate not in _PROBES:
+            raise ConfigurationError(f"unknown estimate {config.estimate!r}")
+        keys = ("output_dir", "estimate", *_PROBES[config.estimate][1])
+        config = load_config(args.config, overrides, f"probe --estimate {config.estimate}", keys)
+    return config, keys
 
 
 def _output_dir(config: RunConfig) -> str:
@@ -92,9 +99,8 @@ def _initial(config: RunConfig, grid: Grid2D):
     return make_initial(grid, config.preset, **params)
 
 
-def _finish(subcommand: str, config: RunConfig, outdir: str, started: float,
+def _finish(subcommand: str, config: RunConfig, keys: tuple, outdir: str, started: float,
             outputs: list[str], extra: dict) -> None:
-    keys = _flags(subcommand).values()
     echoed = {k: v for k, v in config.to_dict().items() if k in keys}
     echo = os.path.join(outdir, "config.json")
     write_json(echo, echoed)
@@ -166,31 +172,16 @@ def _run_gwp(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
     return [out], {"status": ledger.status}
 
 
-def _window(c: RunConfig) -> dict:
-    return {"samples": c.samples, "seed": c.seed, "span": c.span, "frames": c.frames}
-
-
-_PROBES = {
-    "strichartz": lambda c, g: probes.strichartz_probe(c.q, c.r, g, **_window(c)),
-    "maximal": lambda c, g: probes.maximal_derivative_probe(g, **_window(c)),
-    "bilinear": lambda c, g: probes.bilinear_probe(c.n1, c.n2, g, **_window(c)),
-    "gh-bilinear": lambda c, g: probes.gh_bilinear_probe(c.n1, c.n2, g, **_window(c)),
-    "l4": lambda c, g: probes.l4_probe(g, **_window(c)),
-    "trilinear": lambda c, g: probes.trilinear_form_probe(
-        c.n1, c.n2, c.n3, c.t_length, g, samples=c.samples, seed=c.seed,
-        num_steps=c.num_steps or None),
-}
-
-
 def _run_probe(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
-    grid, kind = _grid(config), config.estimate
+    probe, keys = _PROBES[config.estimate]
     out = os.path.join(outdir, "probe.csv")
-    if kind == "cutoff":
-        rows, report = probes.cutoff_probe(config.t_grid, config.l_grid)
+    if config.estimate == "cutoff":
+        rows, report = probe(t_values=config.t_grid, l_values=config.l_grid)
     else:
-        if kind not in _PROBES:
-            raise ConfigurationError(f"unknown estimate {kind!r}")
-        report = _PROBES[kind](config, grid)
+        args = {k: getattr(config, k) for k in keys if k not in _GRID}
+        if "num_steps" in args:  # 0 means None: trilinear resolves its own step count
+            args["num_steps"] = args["num_steps"] or None
+        report = probe(grid=_grid(config), **args)
         rows = [report.to_row()]
     write_csv(out, list(rows[0]), rows)
     return [out], {"drift": report.drift, "estimate": report.estimate}
@@ -225,9 +216,10 @@ def _run_norms(config: RunConfig, outdir: str) -> tuple[list[str], dict]:
 
 # subcommand -> (runner, help line, the keys the runner reads), which are its
 # flags after --config and --output-dir, the keys load_config accepts for it and
-# the keys _finish echoes.  A key is given as its flag, or "flag=key" where the
-# key is not the flag with dashes turned into underscores; the argparse type is
-# the default's (int, float; else a string for load_config to coerce).  A runner
+# the keys _finish echoes (a probe's are its estimate's, from _PROBES, and probe's
+# flags their union).  A key is given as its flag, or "flag=key" where the key is
+# not the flag with dashes turned into underscores; the argparse type is the
+# default's (int, float; else a string for load_config to coerce).  A runner
 # writes its files and returns (output paths, manifest extras) for _finish.
 _GRID = ("nx", "ny", "lx", "ly")
 _DATA = ("seed", "preset", "amplitude", "sigma", "jx", "jy", "kmax", "envelope",
@@ -252,6 +244,22 @@ _SUBCOMMANDS = {
 }
 
 
+# estimate -> (probe, the keys it reads besides estimate and output_dir): the keys
+# load_config accepts, _finish echoes and _run_probe passes, the grid's as the grid
+# and the rest by name (cutoff's as t_values, l_values; trilinear's num_steps 0 as None).
+_WINDOW = ("samples", "seed", "span", "frames")
+_PROBES = {
+    "strichartz": (probes.strichartz_probe, (*_GRID, "q", "r", *_WINDOW)),
+    "maximal": (probes.maximal_derivative_probe, (*_GRID, *_WINDOW)),
+    "bilinear": (probes.bilinear_probe, (*_GRID, "n1", "n2", *_WINDOW)),
+    "gh-bilinear": (probes.gh_bilinear_probe, (*_GRID, "n1", "n2", *_WINDOW)),
+    "l4": (probes.l4_probe, (*_GRID, *_WINDOW)),
+    "trilinear": (probes.trilinear_form_probe,
+                  (*_GRID, "n1", "n2", "n3", "t_length", "samples", "seed", "num_steps")),
+    "cutoff": (probes.cutoff_probe, ("t_grid", "l_grid")),
+}
+
+
 def main(argv=None) -> int:
     parser = _parser()
     args, unread = parser.parse_known_args(argv)
@@ -259,11 +267,11 @@ def main(argv=None) -> int:
         parser.subcommands[args.subcommand].error(f"unrecognized arguments: {' '.join(unread)}")
     started = time.monotonic()
     try:
-        config = _config_from_args(args)
+        config, keys = _config_from_args(args)
         outdir = _output_dir(config)
         os.makedirs(outdir, exist_ok=True)
         outputs, extra = _SUBCOMMANDS[args.subcommand][0](config, outdir)
-        _finish(args.subcommand, config, outdir, started, outputs, extra)
+        _finish(args.subcommand, config, keys, outdir, started, outputs, extra)
     except (ConfigurationError, UsageError, ResolutionError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

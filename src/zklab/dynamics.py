@@ -177,17 +177,22 @@ def step_etdrk4(state: SolverState, tableau: EtdrkTableau) -> SolverState:
     return out
 
 
+def _whole_steps(name: str, span: float, dt: float, least: int = 0) -> int:
+    """``span / dt``, where ``span`` must be a whole number (0 or at least ``least``) of steps
+    of a positive ``dt``, below 2**53 so that a float holds the count exactly."""
+    steps = round(span / dt) if 0 < dt < math.inf and 0 <= span / dt < 2 ** 53 else -1
+    if steps < max(least, span != 0) or abs(steps * dt - span) > 1e-8 * max(dt, span):
+        raise UsageError(f"{name} = {span} must be a whole number of steps of dt = {dt} > 0")
+    return steps
+
+
 def _states(u0: Field, t_final: float, dt: float, form: DispersionForm, every: int = 1):
     """The package's one stepping loop: yield the SolverState at t = 0 (u0 projected onto
     the 2/3 band), then every ``every``-th stepped state up to ``t_final``, which must be a
     whole number of steps and of strides.  The arguments are checked on the first ``next``."""
-    if not (0 <= t_final < math.inf and 0 < dt < math.inf):
-        raise UsageError(f"need finite t_final >= 0 and dt > 0, got t_final = {t_final}, dt = {dt}")
+    n_steps = _whole_steps("t_final", t_final, dt)
     if not isinstance(every, numbers.Integral) or every < 1:
         raise UsageError("sample_every must be a positive integer")
-    n_steps = round(t_final / dt)
-    if t_final != 0 and (abs(n_steps * dt - t_final) > 1e-8 * max(dt, t_final) or n_steps == 0):
-        raise UsageError(f"t_final = {t_final} is not a whole number of steps of dt = {dt}")
     if n_steps % every != 0:
         raise UsageError("t_final / dt must be divisible by sample_every")
     state = SolverState(u0, 0.0, dt, form)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import _states, spectral_kernel
+from .dynamics import _states, _whole_steps, spectral_kernel
 from .errors import DataError, UsageError
 from .forms import DispersionForm
 from .littlewood_paley import is_dyadic
@@ -278,9 +278,7 @@ class ScanResult:
 
 def _windows(u0: Field, delta: float, dt: float, count: int):
     """``_states`` at t = 0 and after each of ``count`` windows, each a whole number of dt steps."""
-    steps = round(delta / dt) if 0 < dt < np.inf and 0 < delta / dt < 2 ** 53 else 0
-    if steps < 1 or abs(steps * dt - delta) > 1e-8 * max(dt, delta):
-        raise UsageError(f"delta = {delta} must be a whole number of steps of dt = {dt}")
+    steps = _whole_steps("delta", delta, dt, least=1)
     return _states(u0, count * delta, dt, _FORM, every=steps)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from zklab import (DispersionForm, besov_norm_2_1, energy, evolve, format_value, l4_probe,
                    lebesgue_norm, make_grid, random_band_limited, sobolev_norm,
                    trilinear_form_probe, write_frame_csv)
-from zklab.cli import _grid, _initial, _parser, main
+from zklab.cli import _PROBES, _grid, _initial, _parser, main
 from zklab.config import RunConfig
 from zklab.reporting import read_frame_csv, write_csv
 
@@ -236,6 +237,36 @@ class TestExitCodes:
         assert f"{key!r}" in err and name in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, key, estimate", [
+        (["maximal", "--nx", "16", "--samples", "1", "--frames", "9", "--q", "4"], "q",
+         "maximal"),
+        (["cutoff", "--nx", "16"], "nx", "cutoff"),
+        (["cutoff", "--seed", "3"], "seed", "cutoff"),
+    ], ids=["maximal-q", "cutoff-nx", "cutoff-seed"])
+    def test_key_the_estimate_does_not_read_is_2(self, tmp_path, capsys, argv, key, estimate):
+        assert run(tmp_path, "probe", "--estimate", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}: not read by probe --estimate {estimate}" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"estimate": "cutoff", "samples": 2},
+         "config key 'samples': not read by probe --estimate cutoff"),
+        ({"estimate": "nope"}, "unknown estimate 'nope'"),
+    ], ids=["unread", "unknown"])
+    def test_probe_config_file_outside_its_estimate_is_2(self, tmp_path, capsys, data,
+                                                         message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["probe", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_step_count_beyond_a_float_is_2(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "--nx", "16", "--T", "1e300", "--dt", "1e-300")
+        assert code == 2
+        assert "t_final = 1e+300 must be a whole number of steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("sample_every", 2.5), ("nx", 16.7), ("sample_every", True), ("dt", True)])
     def test_truncated_or_boolean_config_number_is_2(self, tmp_path, capsys, key, value):
@@ -324,20 +355,21 @@ class TestOtherSubcommands:
         assert "ratio" in lines[0]
 
     @pytest.mark.parametrize("argv, estimate", [
-        (["strichartz", "--nx", "16", "--frames", "5"], "strichartz"),
-        (["maximal", "--nx", "16", "--frames", "5"], "maximal-derivative"),
-        (["bilinear", "--nx", "32", "--N1", "2", "--N2", "8", "--frames", "5"],
-         "bilinear-lowhigh"),
-        (["gh-bilinear", "--nx", "32", "--N1", "4", "--N2", "2", "--frames", "5"],
-         "gh-bilinear"),
-        (["l4", "--nx", "16", "--frames", "5"], "l4-riesz"),
+        (["strichartz", "--nx", "16", "--frames", "5", "--samples", "1"], "strichartz"),
+        (["maximal", "--nx", "16", "--frames", "5", "--samples", "1"], "maximal-derivative"),
+        (["bilinear", "--nx", "32", "--N1", "2", "--N2", "8", "--frames", "5",
+          "--samples", "1"], "bilinear-lowhigh"),
+        (["gh-bilinear", "--nx", "32", "--N1", "4", "--N2", "2", "--frames", "5",
+          "--samples", "1"], "gh-bilinear"),
+        (["l4", "--nx", "16", "--frames", "5", "--samples", "1"], "l4-riesz"),
         (["cutoff", "--T-grid", "0.5,1", "--L-grid", "4,8"], "cutoff-high"),
         (["trilinear", "--nx", "32", "--N1", "8", "--N2", "2", "--N3", "8",
-          "--T", "0.125", "--num-steps", "64"], "trilinear-form"),
+          "--T", "0.125", "--num-steps", "64", "--samples", "1"], "trilinear-form"),
     ], ids=["strichartz", "maximal", "bilinear", "gh-bilinear", "l4", "cutoff",
             "trilinear"])
     def test_every_estimate_writes_its_report(self, tmp_path, argv, estimate):
-        code = run(tmp_path, "probe", "--estimate", *argv, "--samples", "1")
+        # cutoff reads no --samples, so each other estimate is given its own
+        code = run(tmp_path, "probe", "--estimate", *argv)
         assert code == 0
         man = json.load(open(tmp_path / "manifest.json"))
         assert man["estimate"] == estimate
@@ -506,7 +538,29 @@ def _read_keys(name: str) -> set:
     return {action[1] for action in _COMMON_ACTIONS[2:] + _SUBCOMMAND_ACTIONS[name]}
 
 
-# one quick run of each subcommand
+# The RunConfig keys each probe estimate reads besides estimate and output_dir:
+# 73 accepted (estimate, key) pairs in all, against 7 x 19 for the probe flags.
+_GRID_KEYS = {"nx", "ny", "lx", "ly"}
+_WINDOW_KEYS = {"samples", "seed", "span", "frames"}
+_ESTIMATE_KEYS = {
+    "strichartz": _GRID_KEYS | {"q", "r"} | _WINDOW_KEYS,
+    "maximal": _GRID_KEYS | _WINDOW_KEYS,
+    "bilinear": _GRID_KEYS | {"n1", "n2"} | _WINDOW_KEYS,
+    "gh-bilinear": _GRID_KEYS | {"n1", "n2"} | _WINDOW_KEYS,
+    "l4": _GRID_KEYS | _WINDOW_KEYS,
+    "trilinear": _GRID_KEYS | {"n1", "n2", "n3", "t_length", "samples", "seed", "num_steps"},
+    "cutoff": {"t_grid", "l_grid"},
+}
+
+
+def _echo_keys(argv: list) -> set:
+    """The keys config.json holds for a run of ``argv``: a probe's are its estimate's."""
+    if argv[0] != "probe":
+        return _read_keys(argv[0])
+    return {"output_dir", "estimate"} | _ESTIMATE_KEYS[argv[argv.index("--estimate") + 1]]
+
+
+# one quick run of each subcommand ("probe" runs l4), then of each other estimate
 _RUNS = {
     "simulate": ["--nx", "16", "--preset", "random", "--seed", "3", "--kmax", "4",
                  "--T", "0.002", "--dt", "0.001"],
@@ -519,16 +573,28 @@ _RUNS = {
     "probe": ["--estimate", "l4", "--nx", "16", "--samples", "1", "--frames", "9"],
     "norms": ["--norm-name", "besov", "--s", "0.5"],
 }
+_RUNS = {name: [name, *argv] for name, argv in _RUNS.items()} | {
+    f"probe-{estimate}": ["probe", "--estimate", estimate, *argv] for estimate, argv in {
+        "strichartz": ["--nx", "16", "--samples", "1", "--frames", "9"],
+        "maximal": ["--nx", "16", "--samples", "1", "--frames", "9"],
+        "bilinear": ["--nx", "32", "--N1", "2", "--N2", "8", "--samples", "1",
+                     "--frames", "5"],
+        "gh-bilinear": ["--nx", "16", "--N1", "4", "--N2", "2", "--samples", "1",
+                        "--frames", "5"],
+        "cutoff": ["--T-grid", "0.5,1", "--L-grid", "4,8"],
+        "trilinear": ["--nx", "16", "--N1", "4", "--N2", "1", "--N3", "4", "--T", "0.0625",
+                      "--samples", "1"],
+    }.items()}
 
 
 class TestConfigEcho:
     @pytest.mark.parametrize("name", list(_RUNS))
     def test_echo_holds_the_read_keys_and_reruns(self, tmp_path, name):
         """config.json and the manifest's config hold exactly the keys the
-        subcommand reads, and rerunning from config.json rewrites every file
-        but the manifest byte for byte."""
+        subcommand reads, a probe's those of its estimate, and rerunning from
+        config.json rewrites every file but the manifest byte for byte."""
         out = tmp_path / "out"
-        argv = [name, *_RUNS[name], "--output-dir", str(out)]
+        argv = [*_RUNS[name], "--output-dir", str(out)]
         if name == "norms":
             frame = tmp_path / "frame.csv"
             write_frame_csv(str(frame), random_band_limited(
@@ -536,7 +602,7 @@ class TestConfigEcho:
             argv += ["--input", str(frame)]
         assert main(argv) == 0
         echoed = json.load(open(out / "config.json"))
-        assert set(echoed) == _read_keys(name)
+        assert set(echoed) == _echo_keys(argv)
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["config"] == echoed
         assert manifest["seed"] == echoed.get("seed")
@@ -546,8 +612,19 @@ class TestConfigEcho:
                     if p.name != "manifest.json"}
 
         first = bodies()
-        assert main([name, "--config", str(out / "config.json")]) == 0
+        assert main([argv[0], "--config", str(out / "config.json")]) == 0
         assert bodies() == first
+
+    @pytest.mark.parametrize("estimate", list(_PROBES))
+    def test_each_probe_reads_its_keys_by_name(self, estimate):
+        """The table gives each estimate the recorded keys, and each key but the
+        grid's names a parameter of its probe (cutoff's take their own names)."""
+        probe, keys = _PROBES[estimate]
+        assert set(keys) == _ESTIMATE_KEYS[estimate]
+        names = {"t_grid": "t_values", "l_grid": "l_values"}
+        params = inspect.signature(probe).parameters
+        assert {names.get(k, k) for k in keys if k not in _GRID_KEYS} <= set(params)
+        assert ("grid" in params) == (estimate != "cutoff")
 
 
 def _subparsers() -> dict:

@@ -171,7 +171,8 @@ class TestFailureModes:
             evolve(smooth_data(G), 0.0101, 1e-3, DispersionForm.ORIGINAL)
 
     @pytest.mark.parametrize("t_final, dt", [(0.01, -0.001), (0.01, 0.0), (0.01, math.nan),
-                                             (math.nan, 0.001), (math.inf, 0.001), (0.0, -1.0)])
+                                             (math.nan, 0.001), (math.inf, 0.001), (0.0, -1.0),
+                                             (1e300, 1e-300)])
     def test_invalid_step_sizes_are_usage_errors(self, t_final, dt):
         with pytest.raises(UsageError):
             evolve(smooth_data(G), t_final, dt, DispersionForm.ORIGINAL)
